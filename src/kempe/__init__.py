@@ -12,7 +12,6 @@ from .graphs import (  # noqa: F401
     cartesian_product,
     from_edges,
     generate,
-    is_degree_choosable,
     is_gallai_tree,
     is_isomorphic,
     line_graph,
@@ -41,6 +40,7 @@ from .verify import (  # noqa: F401
     degree_swappable_verdict,
     enumerate_degree_assignments,
     frozen_colorings,
+    is_degree_choosable,
     verify_lemma,
 )
 

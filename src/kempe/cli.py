@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kempe", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", "-o", default=None, help="write the report to this file")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count; output is identical for any value")
     sub = top.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name, **kw):
@@ -145,6 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counterexample-out", default=None,
                    help="write a found counterexample assignment here, "
                         "replayable with the mix command")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker count; output is identical for any value")
     _budget_args(p)
 
     return top

@@ -76,12 +76,26 @@ def check_coloring(g: Graph, lists: ListAssignment, phi: Coloring) -> CheckResul
     """
     _require_total(g, phi)
     _require_lists(g, lists)
+    return _check(g, lists, phi)
+
+
+def _check(g: Graph, lists: ListAssignment, phi,
+           absent: frozenset[int] = frozenset()) -> CheckResult:
+    """check_coloring on g minus the absent vertices (phi is None there)."""
     for v in range(g.n):
+        if v in absent:
+            if phi[v] is not None:
+                raise ParameterError(f"vertex {v} should be uncolored")
+            continue
+        if phi[v] is None:
+            raise ParameterError(f"vertex {v} should be colored")
         if phi[v] not in lists[v]:
             return CheckResult(False, bad_vertex=v)
     for v in range(g.n):
+        if v in absent:
+            continue
         for w in g.adj[v]:
-            if v < w and phi[v] == phi[w]:
+            if v < w and w not in absent and phi[v] == phi[w]:
                 return CheckResult(False, bad_edge=(v, w))
     return CheckResult(True)
 
@@ -182,14 +196,23 @@ def kempe_component(g: Graph, phi: Coloring, v: int, pair) -> frozenset[int]:
     a, b = sorted(pair)
     if a == b:
         raise ParameterError("Kempe pair colors must differ")
-    if phi[v] not in (a, b):
+    return _component(g, phi, v, (a, b))
+
+
+def _component(g: Graph, phi, v: int, pair,
+               absent: frozenset[int] = frozenset()) -> frozenset[int]:
+    """Kempe component of v in g minus the absent vertices.
+
+    Empty when v is absent or phi(v) is not one of the two colors.
+    """
+    if v in absent or phi[v] not in pair:
         return frozenset()
     comp = {v}
     stack = [v]
     while stack:
         x = stack.pop()
         for w in g.adj[x]:
-            if w not in comp and phi[w] in (a, b):
+            if w not in comp and w not in absent and phi[w] in pair:
                 comp.add(w)
                 stack.append(w)
     return frozenset(comp)
@@ -219,10 +242,15 @@ def classify_swap(g: Graph, lists: ListAssignment, phi: Coloring, move: SwapMove
         raise PreconditionError("classify_swap requires an L-coloring to start from")
     if not 0 <= move.anchor < g.n:
         raise ParameterError(f"anchor {move.anchor} out of range")
+    return _classify(g, lists, phi, move)
+
+
+def _classify(g: Graph, lists: ListAssignment, phi, move: SwapMove,
+              absent: frozenset[int] = frozenset()) -> SwapOutcome:
     a, b = move.colors
     if phi[move.anchor] not in (a, b):
         return SwapOutcome(False, None, frozenset(), reason="anchor not in color pair")
-    comp = kempe_component(g, phi, move.anchor, (a, b))
+    comp = partial_component(g, phi, move.anchor, (a, b), absent)
     new = list(phi)
     for x in comp:
         new[x] = b if phi[x] == a else a
@@ -259,38 +287,12 @@ def apply_moves(g: Graph, lists: ListAssignment, phi: Coloring, moves) -> Colori
 
 def partial_component(g: Graph, phi, v: int, pair, absent: frozenset[int]) -> frozenset[int]:
     """Kempe component of v in g minus the absent vertices."""
-    a, b = sorted(pair)
-    if v in absent or phi[v] not in (a, b):
-        return frozenset()
-    comp = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for w in g.adj[x]:
-            if w not in comp and w not in absent and phi[w] in (a, b):
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
+    return _component(g, phi, v, tuple(sorted(pair)), absent)
 
 
 def check_partial(g: Graph, lists: ListAssignment, phi, absent: frozenset[int]) -> CheckResult:
     """check_coloring on g minus the absent vertices (phi is None there)."""
-    for v in range(g.n):
-        if v in absent:
-            if phi[v] is not None:
-                raise ParameterError(f"vertex {v} should be uncolored")
-            continue
-        if phi[v] is None:
-            raise ParameterError(f"vertex {v} should be colored")
-        if phi[v] not in lists[v]:
-            return CheckResult(False, bad_vertex=v)
-    for v in range(g.n):
-        if v in absent:
-            continue
-        for w in g.adj[v]:
-            if v < w and w not in absent and phi[v] == phi[w]:
-                return CheckResult(False, bad_edge=(v, w))
-    return CheckResult(True)
+    return _check(g, lists, phi, absent)
 
 
 def classify_swap_partial(g: Graph, lists: ListAssignment, phi, move: SwapMove,
@@ -298,16 +300,4 @@ def classify_swap_partial(g: Graph, lists: ListAssignment, phi, move: SwapMove,
     """classify_swap on g minus the absent vertices."""
     if move.anchor in absent:
         raise ParameterError(f"anchor {move.anchor} is not a vertex of the reduced graph")
-    a, b = move.colors
-    if phi[move.anchor] not in (a, b):
-        return SwapOutcome(False, None, frozenset(), reason="anchor not in color pair")
-    comp = partial_component(g, phi, move.anchor, (a, b), absent)
-    new = list(phi)
-    for x in comp:
-        new[x] = b if phi[x] == a else a
-    violator = next((x for x in sorted(comp) if new[x] not in lists[x]), None)
-    if violator is not None:
-        return SwapOutcome(False, None, comp,
-                           reason=f"vertex {violator} would get color {new[violator]} "
-                                  f"outside its list", violator=violator)
-    return SwapOutcome(True, tuple(new), comp)
+    return _classify(g, lists, phi, move, absent)

@@ -502,38 +502,26 @@ def is_gallai_tree(g: Graph) -> GallaiReport:
     return GallaiReport(offending is None, blocks, cuts, offending)
 
 
-@dataclass(frozen=True)
-class ChoosabilityReport:
-    degree_choosable: bool
-    exhaustive: bool
-    witness: tuple[frozenset[int], ...] | None
-    assignments_checked: int
+# ---------------------------------------------------------------------------
+# Elimination orders
+# ---------------------------------------------------------------------------
 
+def slack_order(g: Graph, sizes) -> list[int] | None:
+    """A vertex order where each vertex is preceded by fewer than sizes[v] neighbors.
 
-def is_degree_choosable(g: Graph, cap: int | None = None, sample: int | None = None,
-                        seed: int = 0, max_assignments: int | None = None) -> ChoosabilityReport:
-    """Brute-force degree-choosability verdict.
-
-    Checks that every canonical degree assignment admits an L-coloring.  The
-    color universe is capped at max(cap, max degree) so that the standard
-    non-colorable assignments of Gallai trees stay inside the search space.
-    When ``sample`` is given, or the assignment budget runs out, the verdict
-    is flagged as non-exhaustive.
+    Greedy peeling from the back; returns None when no such order exists.
     """
-    from .coloring import has_L_coloring
-    from .verify import AssignmentStream, enumerate_degree_assignments
-
-    if not is_connected(g):
-        raise PreconditionError("degree-choosability test requires a connected graph")
-    eff_cap = max(cap if cap is not None else 4, g.max_degree(), 1)
-    stream = AssignmentStream(sizes=g.degrees(), cap=eff_cap, sample=sample, seed=seed)
-    checked = 0
-    exhausted_budget = False
-    for lists in enumerate_degree_assignments(stream):
-        if max_assignments is not None and checked >= max_assignments:
-            exhausted_budget = True
-            break
-        checked += 1
-        if has_L_coloring(g, lists) is None:
-            return ChoosabilityReport(False, sample is None, lists, checked)
-    return ChoosabilityReport(True, sample is None and not exhausted_budget, None, checked)
+    remaining = set(range(g.n))
+    deg = {v: g.degree(v) for v in range(g.n)}
+    order: list[int] = []
+    while remaining:
+        pick = next((v for v in sorted(remaining) if deg[v] < sizes[v]), None)
+        if pick is None:
+            return None
+        remaining.discard(pick)
+        for w in g.adj[pick]:
+            if w in remaining:
+                deg[w] -= 1
+        order.append(pick)
+    order.reverse()
+    return order

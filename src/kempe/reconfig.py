@@ -3,7 +3,9 @@
 Nodes are L-colorings, edges are L-valid Kempe swaps.  Mixing classes are the
 connected components; a graph is L-swappable iff there is at most one class.
 
-The engine encodes a coloring as per-color vertex bitmasks, so finding the
+ReconfigSpace holds this graph for one (g, L) pair and runs the one flood
+that mixing classes, swappability, the explicit graph and shortest paths all
+use.  It encodes a coloring as per-color vertex bitmasks, so finding the
 two-colored components and checking list validity of a swap are a handful of
 integer operations.  Public results are always plain colorings (tuples of
 colors) in the deterministic order produced by enumerate_L_colorings.
@@ -11,7 +13,8 @@ colors) in the deterministic order produced by enumerate_L_colorings.
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .coloring import (
@@ -19,29 +22,38 @@ from .coloring import (
     Coloring,
     ListAssignment,
     SwapMove,
+    _component,
     check_coloring,
     check_partial,
     classify_swap,
     classify_swap_partial,
     color_universe,
     enumerate_L_colorings,
-    kempe_component,
     normalize_move,
     partial_component,
 )
 from .errors import BudgetError, KempeError, ParameterError, PreconditionError
-from .graphs import Graph, induced_subgraph, is_connected, is_gallai_tree
+from .graphs import Graph, induced_subgraph, is_connected, is_gallai_tree, slack_order
 
 
 # ---------------------------------------------------------------------------
-# Bitmask engine
+# The reconfiguration space
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    """Precomputed tables for fast neighbor generation on one (g, L) pair."""
+class ReconfigSpace:
+    """The reconfiguration graph of one (g, L) pair.
 
-    def __init__(self, g: Graph, lists: ListAssignment):
+    A coloring is encoded as its mask tuple: one vertex bitmask per color of
+    the list universe.  The color tables are built at once and the colorings
+    when first used, so a search that never needs the whole space never
+    enumerates it.
+    """
+
+    def __init__(self, g: Graph, lists: ListAssignment,
+                 max_colorings: int = DEFAULT_MAX_COLORINGS):
         self.g = g
+        self.lists = lists
+        self.max_colorings = max_colorings
         self.universe = color_universe(lists)
         self.cindex = {c: i for i, c in enumerate(self.universe)}
         self.k = len(self.universe)
@@ -51,21 +63,16 @@ class _Engine:
             for c in s:
                 self.okm[self.cindex[c]] |= 1 << v
 
+    @functools.cached_property
+    def colorings(self) -> list[Coloring]:
+        """All L-colorings, in enumerate_L_colorings order."""
+        return enumerate_L_colorings(self.g, self.lists, self.max_colorings)
+
     def to_masks(self, phi: Coloring) -> tuple[int, ...]:
         masks = [0] * self.k
         for v, c in enumerate(phi):
             masks[self.cindex[c]] |= 1 << v
         return tuple(masks)
-
-    def from_masks(self, masks) -> Coloring:
-        phi = [0] * self.g.n
-        for ci, m in enumerate(masks):
-            c = self.universe[ci]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                phi[v] = c
-        return tuple(phi)
 
     def neighbors(self, masks):
         """Yield (i, j, comp, new_masks) for every L-valid swap from masks."""
@@ -103,28 +110,51 @@ class _Engine:
         anchor = (comp & -comp).bit_length() - 1
         return SwapMove(anchor, (self.universe[i], self.universe[j]))
 
+    def move_between(self, masks, new) -> SwapMove:
+        """The normalized swap taking masks to its neighbor new."""
+        i, j = (c for c in range(self.k) if masks[c] != new[c])
+        return self.move_of(i, j, masks[i] ^ new[i])
 
-def _flood_components(engine: _Engine, masks_list) -> tuple[list[int], list[bool]]:
-    """Component id per node (by least node index) and a has-valid-move flag."""
-    index = {m: i for i, m in enumerate(masks_list)}
-    comp_of = [-1] * len(masks_list)
-    has_move = [False] * len(masks_list)
-    next_comp = 0
-    for start in range(len(masks_list)):
-        if comp_of[start] >= 0:
-            continue
-        comp_of[start] = next_comp
+    def is_frozen(self, phi: Coloring) -> bool:
+        """Whether the L-coloring phi admits no L-valid swap."""
+        return next(self.neighbors(self.to_masks(phi)), None) is None
+
+    def flood(self, start, seen: dict):
+        """Breadth-first search of the class of start, a mask tuple already in seen.
+
+        Yields (masks, i, j, comp, new) for every L-valid swap out of every
+        coloring reached.  A coloring reached for the first time is entered
+        in seen, mapped to the mask tuple it was reached from, before its
+        swap is yielded.
+        """
         queue = deque([start])
         while queue:
-            node = queue.popleft()
-            for _, _, _, new in engine.neighbors(masks_list[node]):
-                has_move[node] = True
-                other = index[new]
-                if comp_of[other] < 0:
-                    comp_of[other] = next_comp
-                    queue.append(other)
-        next_comp += 1
-    return comp_of, has_move
+            masks = queue.popleft()
+            for i, j, comp, new in self.neighbors(masks):
+                if new not in seen:
+                    seen[new] = masks
+                    queue.append(new)
+                yield masks, i, j, comp, new
+
+    def flood_classes(self, seen: dict):
+        """Flood every class in turn from its first coloring.
+
+        Classes are numbered 0, 1, ... in the order of their first colorings,
+        and seen ends up mapping every mask tuple to its class number.  Yields
+        every L-valid swap, as flood does.
+        """
+        number = 0
+        for phi in self.colorings:
+            start = self.to_masks(phi)
+            if start in seen:
+                continue
+            seen[start] = None
+            yield from self.flood(start, seen)
+            for masks in reversed(seen):  # the colorings this flood added
+                seen[masks] = number
+                if masks is start:
+                    break
+            number += 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,48 +182,38 @@ def mixing_classes(g: Graph, lists: ListAssignment,
     """Connected components of the reconfiguration graph.
 
     Representatives are the lexicographically least coloring of each class;
-    frozen colorings are those admitting no valid swap at all.
+    frozen colorings are those admitting no valid swap at all, which are
+    exactly the classes of one coloring (a swap always changes the coloring).
     """
-    colorings = enumerate_L_colorings(g, lists, max_colorings)
-    engine = _Engine(g, lists)
-    masks_list = [engine.to_masks(phi) for phi in colorings]
-    comp_of, has_move = _flood_components(engine, masks_list)
-    count = max(comp_of) + 1 if comp_of else 0
+    space = ReconfigSpace(g, lists, max_colorings)
+    seen: dict = {}
+    for _ in space.flood_classes(seen):
+        pass
+    colorings = space.colorings
+    ids = tuple(seen[space.to_masks(phi)] for phi in colorings)
+    sizes = Counter(ids)
     reps = []
-    seen = set()
-    for node, c in enumerate(comp_of):
-        if c not in seen:
-            seen.add(c)
-            reps.append(colorings[node])
-    frozen = tuple(colorings[i] for i in range(len(colorings)) if not has_move[i])
-    return MixingReport(len(colorings), count, tuple(comp_of), tuple(reps),
-                        frozen, tuple(colorings))
+    for phi, c in zip(colorings, ids):
+        if c == len(reps):
+            reps.append(phi)
+    frozen = tuple(phi for phi, c in zip(colorings, ids) if sizes[c] == 1)
+    return MixingReport(len(colorings), len(sizes), ids, tuple(reps), frozen,
+                        tuple(colorings))
 
 
 def is_L_swappable(g: Graph, lists: ListAssignment,
                    max_colorings: int = DEFAULT_MAX_COLORINGS) -> bool:
     """Fast connectivity check: flood from the first coloring only."""
-    colorings = enumerate_L_colorings(g, lists, max_colorings)
-    if len(colorings) <= 1:
+    space = ReconfigSpace(g, lists, max_colorings)
+    total = len(space.colorings)
+    if total <= 1:
         return True
-    engine = _Engine(g, lists)
-    masks_list = [engine.to_masks(phi) for phi in colorings]
-    index = {m: i for i, m in enumerate(masks_list)}
-    seen = bytearray(len(masks_list))
-    seen[0] = 1
-    reached = 1
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for _, _, _, new in engine.neighbors(masks_list[node]):
-            other = index[new]
-            if not seen[other]:
-                seen[other] = 1
-                reached += 1
-                if reached == len(masks_list):
-                    return True
-                queue.append(other)
-    return reached == len(masks_list)
+    start = space.to_masks(space.colorings[0])
+    seen = {start: None}
+    for _ in space.flood(start, seen):
+        if len(seen) == total:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +230,17 @@ class ReconfigGraph:
 def build_reconfig_graph(g: Graph, lists: ListAssignment,
                          max_colorings: int = DEFAULT_MAX_COLORINGS) -> ReconfigGraph:
     """Materialize nodes and normalized edges; meant for small instances."""
-    colorings = enumerate_L_colorings(g, lists, max_colorings)
-    engine = _Engine(g, lists)
-    masks_list = [engine.to_masks(phi) for phi in colorings]
-    index = {m: i for i, m in enumerate(masks_list)}
+    space = ReconfigSpace(g, lists, max_colorings)
+    index = {space.to_masks(phi): i for i, phi in enumerate(space.colorings)}
+    seen: dict = {}
     edges = {}
-    for node, masks in enumerate(masks_list):
-        for i, j, comp, new in engine.neighbors(masks):
-            other = index[new]
-            key = (min(node, other), max(node, other))
-            if key not in edges:
-                edges[key] = engine.move_of(i, j, comp)
-    comp_of, _ = _flood_components(engine, masks_list)
+    for masks, i, j, comp, new in space.flood_classes(seen):
+        a, b = index[masks], index[new]
+        key = (min(a, b), max(a, b))
+        if key not in edges:
+            edges[key] = space.move_of(i, j, comp)
     edge_list = tuple((a, b, mv) for (a, b), mv in sorted(edges.items()))
-    return ReconfigGraph(tuple(colorings), edge_list, tuple(comp_of))
+    return ReconfigGraph(tuple(space.colorings), edge_list, tuple(seen[m] for m in index))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +251,9 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
                      max_colorings: int = DEFAULT_MAX_COLORINGS) -> list[SwapMove] | None:
     """A shortest sequence of L-valid swaps from phi1 to phi2, or None.
 
-    The returned sequence is replayed through classify_swap as a self-check
-    before being handed back.
+    The search explores phi1's class only and never enumerates the space;
+    max_colorings bounds the colorings it reaches.  The returned sequence is
+    replayed through classify_swap as a self-check before being handed back.
     """
     for phi in (phi1, phi2):
         result = check_coloring(g, lists, phi)
@@ -243,31 +261,25 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
             raise PreconditionError(f"endpoint is not an L-coloring: {result}")
     if phi1 == phi2:
         return []
-    engine = _Engine(g, lists)
-    start = engine.to_masks(phi1)
-    goal = engine.to_masks(phi2)
-    prev: dict[tuple, tuple] = {start: None}
-    queue = deque([start])
-    while queue:
-        masks = queue.popleft()
-        for i, j, comp, new in engine.neighbors(masks):
-            if new in prev:
-                continue
-            prev[new] = (masks, engine.move_of(i, j, comp))
-            if len(prev) > max_colorings:
-                raise BudgetError(f"equivalence search exceeded {max_colorings} colorings",
-                                  max_colorings)
-            if new == goal:
-                moves = []
-                cur = new
-                while prev[cur] is not None:
-                    cur, mv = prev[cur]
-                    moves.append(mv)
-                moves.reverse()
-                _replay_check(g, lists, phi1, phi2, moves)
-                return moves
-            queue.append(new)
-    return None
+    space = ReconfigSpace(g, lists, max_colorings)
+    start = space.to_masks(phi1)
+    goal = space.to_masks(phi2)
+    prev = {start: None}
+    for _, _, _, _, new in space.flood(start, prev):
+        if len(prev) > max_colorings:
+            raise BudgetError(f"equivalence search exceeded {max_colorings} colorings",
+                              max_colorings)
+        if new == goal:
+            break
+    else:
+        return None
+    trail = [goal]
+    while prev[trail[-1]] is not None:
+        trail.append(prev[trail[-1]])
+    trail.reverse()
+    moves = [space.move_between(a, b) for a, b in zip(trail, trail[1:])]
+    _replay_check(g, lists, phi1, phi2, moves)
+    return moves
 
 
 def _replay_check(g, lists, phi1, phi2, moves):
@@ -505,22 +517,12 @@ def lift_through_vertex(g: Graph, lists: ListAssignment, v: int, start: Coloring
 
 def _pair_components(g: Graph, phi, pair, absent: frozenset[int]) -> list[frozenset[int]]:
     """All components of the two-colored subgraph, ignoring absent vertices."""
-    a, b = pair
-    todo = {x for x in range(g.n)
-            if x not in absent and phi[x] is not None and phi[x] in (a, b)}
+    todo = {x for x in range(g.n) if x not in absent and phi[x] in pair}
     comps = []
     while todo:
-        seed = min(todo)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for w in g.adj[x]:
-                if w in todo and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+        comp = _component(g, phi, min(todo), pair, absent)
         todo -= comp
-        comps.append(frozenset(comp))
+        comps.append(comp)
     return comps
 
 
@@ -594,6 +596,14 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
     return result
 
 
+@functools.lru_cache(maxsize=16)
+def _hypothesis_verdict(n: int, adj, cap: int, max_colorings: int):
+    """degree_swappable_verdict of H, kept: lifts through one H ask for it at every call."""
+    from .verify import degree_swappable_verdict  # verify builds on this module
+
+    return degree_swappable_verdict(Graph(n, adj), cap=cap, max_colorings=max_colorings)
+
+
 def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Coloring,
                           moves, target: Coloring | None = None,
                           verify_hypotheses: bool = True, verify_rest: bool = False,
@@ -614,8 +624,6 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
     at the given cap must not find a counterexample.  verify_rest additionally
     checks that g-H is swappable under the restriction of this very L.
     """
-    from .verify import degree_swappable_verdict, slack_order
-
     h = frozenset(h_vertices)
     if not h or any(not 0 <= x < g.n for x in h):
         raise ParameterError("H must be a nonempty set of graph vertices")
@@ -635,7 +643,7 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
     if verify_hypotheses and not has_slack:
         if is_gallai_tree(sub_h).is_gallai_tree:
             raise PreconditionError("H is a Gallai tree, hence not f'-choosable")
-        verdict = degree_swappable_verdict(sub_h, cap=cap, max_colorings=max_colorings)
+        verdict = _hypothesis_verdict(sub_h.n, sub_h.adj, cap, max_colorings)
         if verdict.verdict == "counterexample":
             raise PreconditionError("H is not f'-swappable: counterexample assignment "
                                     f"{verdict.counterexample}")

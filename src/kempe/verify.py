@@ -11,19 +11,15 @@ the exhaustive stream prune whole subtrees during generation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from .coloring import (
-    DEFAULT_MAX_COLORINGS,
-    Coloring,
-    ListAssignment,
-    enumerate_L_colorings,
-)
-from .errors import BudgetError, ParameterError
+from .coloring import DEFAULT_MAX_COLORINGS, Coloring, ListAssignment, has_L_coloring
+from .errors import ParameterError, PreconditionError
 from .graphs import (
     FamilySpec,
     Graph,
@@ -35,9 +31,15 @@ from .graphs import (
     is_gallai_tree,
     line_graph,
     parse_family,
+    slack_order,
 )
-from . import reconfig
-from .reconfig import ClassConstraint, is_L_swappable, mixing_classes, subset_mixes
+from .reconfig import (
+    ClassConstraint,
+    ReconfigSpace,
+    is_L_swappable,
+    mixing_classes,
+    subset_mixes,
+)
 
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 
@@ -180,35 +182,44 @@ def count_assignment_orbits_reference(sizes, cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Elimination orders
-# ---------------------------------------------------------------------------
-
-def slack_order(g: Graph, sizes) -> list[int] | None:
-    """A vertex order where each vertex is preceded by fewer than sizes[v] neighbors.
-
-    Greedy peeling from the back; returns None when no such order exists.
-    """
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in range(g.n)}
-    order: list[int] = []
-    while remaining:
-        pick = next((v for v in sorted(remaining) if deg[v] < sizes[v]), None)
-        if pick is None:
-            return None
-        remaining.discard(pick)
-        for w in g.adj[pick]:
-            if w in remaining:
-                deg[w] -= 1
-        order.append(pick)
-    order.reverse()
-    return order
-
-
-# ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
+class ChoosabilityReport:
+    degree_choosable: bool
+    exhaustive: bool
+    witness: tuple[frozenset[int], ...] | None
+    assignments_checked: int
+
+
+def is_degree_choosable(g: Graph, cap: int | None = None, sample: int | None = None,
+                        seed: int = 0, max_assignments: int | None = None) -> ChoosabilityReport:
+    """Brute-force degree-choosability verdict.
+
+    Checks that every canonical degree assignment admits an L-coloring.  The
+    color universe is capped at max(cap, max degree) so that the standard
+    non-colorable assignments of Gallai trees stay inside the search space.
+    When ``sample`` is given, or the assignment budget runs out, the verdict
+    is flagged as non-exhaustive.
+    """
+    if not is_connected(g):
+        raise PreconditionError("degree-choosability test requires a connected graph")
+    eff_cap = max(cap if cap is not None else 4, g.max_degree(), 1)
+    stream = AssignmentStream(sizes=g.degrees(), cap=eff_cap, sample=sample, seed=seed)
+    checked = 0
+    exhausted_budget = False
+    for lists in enumerate_degree_assignments(stream):
+        if max_assignments is not None and checked >= max_assignments:
+            exhausted_budget = True
+            break
+        checked += 1
+        if has_L_coloring(g, lists) is None:
+            return ChoosabilityReport(False, sample is None, lists, checked)
+    return ChoosabilityReport(True, sample is None and not exhausted_budget, None, checked)
+
+
+@dataclass(frozen=True)
 class LemmaReport:
     lemma_id: str
     instance: str
@@ -230,10 +241,6 @@ class LemmaReport:
             base += f" detail={self.detail}"
         return base
 
-    def relabeled(self, lemma_id: str) -> "LemmaReport":
-        self.lemma_id = lemma_id
-        return self
-
 
 def _mode_string(stream: AssignmentStream) -> str:
     if stream.sample is not None:
@@ -241,9 +248,14 @@ def _mode_string(stream: AssignmentStream) -> str:
     return f"exhaustive(cap={stream.cap})"
 
 
-def _swappable_task(task) -> bool:
-    g, lists, max_colorings = task
-    return is_L_swappable(g, lists, max_colorings)
+def _swappable_failure(g: Graph, lists: ListAssignment, max_colorings: int) -> str | None:
+    return None if is_L_swappable(g, lists, max_colorings) else "not swappable"
+
+
+def _check_task(task):
+    """Check one assignment; the result carries the assignment back to the verdict loop."""
+    check, g, lists = task
+    return lists, check(g, lists)
 
 
 def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None,
@@ -256,55 +268,44 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
     predicate filters the hypothesis space; checker replaces the default
     whole-graph swappability check (it gets (g, lists) and returns an error
     string or None).  Stops at the first counterexample in stream order, so
-    the report is the same for any worker count.
+    the report is the same for any worker count.  The default check runs in
+    a pool of workers when workers > 1; a checker always runs in this process.
     """
     t0 = time.perf_counter()
     cap = max(cap, max(sizes, default=1))  # the stream must admit the sizes
-    stream = AssignmentStream(tuple(sizes), cap, sample, seed)
+    spec = AssignmentStream(tuple(sizes), cap, sample, seed)
+    stream = enumerate_degree_assignments(spec)
+    if predicate is not None:
+        stream = filter(predicate, stream)
+    check = (checker if checker is not None
+             else functools.partial(_swappable_failure, max_colorings=max_colorings))
+    # A negative budget checks nothing, like a zero one (islice rejects it).
+    tasks = ((check, g, lists) for lists in itertools.islice(stream, max(max_assignments, 0)))
+    if workers > 1 and checker is None:
+        # Imported here, not at the top: the import alone adds about 1 MiB to
+        # the peak memory of every run that loads this module.
+        import multiprocessing
+
+        pool = multiprocessing.Pool(workers)
+        results = pool.imap(_check_task, tasks, chunksize=8)
+    else:
+        pool = contextlib.nullcontext()
+        results = map(_check_task, tasks)
 
     def finish(verdict, checked, **kw):
-        return LemmaReport(lemma_id, instance, _mode_string(stream), verdict,
+        return LemmaReport(lemma_id, instance, _mode_string(spec), verdict,
                            assignments_checked=checked, seed=seed,
                            runtime=time.perf_counter() - t0, **kw)
 
-    budget_hit = False
-    if workers > 1 and checker is None:
-        assignments = []
-        for lists in enumerate_degree_assignments(stream):
-            if predicate is not None and not predicate(lists):
-                continue
-            if len(assignments) >= max_assignments:
-                budget_hit = True
-                break
-            assignments.append(lists)
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            tasks = ((g, lists, max_colorings) for lists in assignments)
-            for idx, ok in enumerate(pool.imap(_swappable_task, tasks, chunksize=8)):
-                if not ok:
-                    pool.terminate()
-                    return finish("counterexample", idx + 1,
-                                  counterexample=assignments[idx], detail="not swappable")
-        if budget_hit:
-            return finish("budget-exceeded", len(assignments),
-                          detail=f"stopped after {len(assignments)} assignments")
-        return finish("verified", len(assignments))
-
     checked = 0
-    for lists in enumerate_degree_assignments(stream):
-        if predicate is not None and not predicate(lists):
-            continue
-        if checked >= max_assignments:
-            return finish("budget-exceeded", checked,
-                          detail=f"stopped after {checked} assignments")
-        checked += 1
-        if checker is not None:
-            failure = checker(g, lists)
-        else:
-            failure = None if is_L_swappable(g, lists, max_colorings) else "not swappable"
-        if failure is not None:
-            return finish("counterexample", checked, counterexample=lists, detail=failure)
+    with pool:
+        for lists, failure in results:
+            checked += 1
+            if failure is not None:
+                return finish("counterexample", checked, counterexample=lists, detail=failure)
+    # The pool is closed, so no other thread reads the stream any more.
+    if next(stream, None) is not None:
+        return finish("budget-exceeded", checked, detail=f"stopped after {checked} assignments")
     return finish("verified", checked)
 
 
@@ -323,14 +324,8 @@ def degree_swappable_verdict(g: Graph, cap: int = 4, sample: int | None = None,
 def frozen_colorings(g: Graph, lists: ListAssignment,
                      max_colorings: int = DEFAULT_MAX_COLORINGS) -> list[Coloring]:
     """All L-colorings with no incident L-valid swap."""
-    colorings = enumerate_L_colorings(g, lists, max_colorings)
-    engine = reconfig._Engine(g, lists)
-    out = []
-    for phi in colorings:
-        masks = engine.to_masks(phi)
-        if next(engine.neighbors(masks), None) is None:
-            out.append(phi)
-    return out
+    space = ReconfigSpace(g, lists, max_colorings)
+    return [phi for phi in space.colorings if space.is_frozen(phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +377,12 @@ def _lemma_barbell(instance, **kw) -> LemmaReport:
         raise ParameterError(f"barbell lemma needs a barbell instance, got {spec}")
     _require_bipartite_barbell(spec)
     h = line_graph(generate(spec))
-    return degree_swappable_verdict(h, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
-                                    max_assignments=kw["max_assignments"],
-                                    max_colorings=kw["max_colorings"],
-                                    instance=f"line_graph({spec})",
-                                    workers=kw.get("workers", 1)).relabeled("barbell")
+    report = degree_swappable_verdict(h, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
+                                      max_assignments=kw["max_assignments"],
+                                      max_colorings=kw["max_colorings"],
+                                      instance=f"line_graph({spec})",
+                                      workers=kw.get("workers", 1))
+    return replace(report, lemma_id="barbell")
 
 
 def _lemma_k4k2(instance, **kw) -> LemmaReport:
@@ -408,11 +404,12 @@ def _lemma_short_theta(instance, **kw) -> LemmaReport:
         raise ParameterError(f"short-theta lemma needs a theta instance, got {spec}")
     _require_short_theta(spec)
     h = line_graph(generate(spec))
-    return degree_swappable_verdict(h, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
-                                    max_assignments=kw["max_assignments"],
-                                    max_colorings=kw["max_colorings"],
-                                    instance=f"line_graph({spec})",
-                                    workers=kw.get("workers", 1)).relabeled("short-theta")
+    report = degree_swappable_verdict(h, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
+                                      max_assignments=kw["max_assignments"],
+                                      max_colorings=kw["max_colorings"],
+                                      instance=f"line_graph({spec})",
+                                      workers=kw.get("workers", 1))
+    return replace(report, lemma_id="short-theta")
 
 
 def _lemma_prism(instance, **kw) -> LemmaReport:
@@ -422,11 +419,11 @@ def _lemma_prism(instance, **kw) -> LemmaReport:
     if spec.params == (1, 1, 1):
         raise ParameterError("prism(1,1,1) is K3 x K2, the excluded instance")
     g = generate(spec)
-    return degree_swappable_verdict(g, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
-                                    max_assignments=kw["max_assignments"],
-                                    max_colorings=kw["max_colorings"],
-                                    instance=str(spec),
-                                    workers=kw.get("workers", 1)).relabeled("prism")
+    report = degree_swappable_verdict(g, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
+                                      max_assignments=kw["max_assignments"],
+                                      max_colorings=kw["max_colorings"],
+                                      instance=str(spec), workers=kw.get("workers", 1))
+    return replace(report, lemma_id="prism")
 
 
 def _lemma_big_intersection(instance, **kw) -> LemmaReport:
@@ -551,9 +548,7 @@ def _lemma_reduc(instance, **kw) -> LemmaReport:
         checked += report.assignments_checked
         parts.append(f"{sub_id}({report.instance}):{report.verdict}")
         if report.verdict != "verified":
-            report.lemma_id = "reduc-lem"
-            report.detail = "; ".join(parts)
-            return report
+            return replace(report, lemma_id="reduc-lem", detail="; ".join(parts))
     return LemmaReport("reduc-lem", "smallest-instance schedule", f"schedule(cap={kw['cap']})",
                        "verified", detail="; ".join(parts) + "; infinite families not "
                        "machine-checked beyond this schedule",

@@ -28,7 +28,6 @@ from kempe.graphs import (
     from_edges,
     generate,
     is_connected,
-    is_degree_choosable,
     is_gallai_tree,
     is_isomorphic,
     line_graph,
@@ -43,7 +42,12 @@ from kempe.reconfig import (
     lift_through_vertex,
     mixing_classes,
 )
-from kempe.verify import degree_swappable_verdict, f_swappable_verdict, verify_lemma
+from kempe.verify import (
+    degree_swappable_verdict,
+    f_swappable_verdict,
+    is_degree_choosable,
+    verify_lemma,
+)
 
 from test_lifting import random_walk_moves, restricted
 

@@ -16,12 +16,12 @@ from kempe.graphs import (
     from_edges,
     generate,
     is_connected,
-    is_degree_choosable,
     is_gallai_tree,
     is_isomorphic,
     line_graph,
     parse_family,
 )
+from kempe.verify import is_degree_choosable
 
 
 def fam(text):

@@ -259,6 +259,26 @@ class TestLiftThroughSubgraph:
             lift_through_subgraph(g, [2, 3, 4], lists, (1, 2, 1, 2, 3)[:g.n],
                                   [], verify_hypotheses=True)
 
+    def test_hypothesis_verdict_computed_once_per_h(self, monkeypatch):
+        import kempe.verify
+        from kempe.reconfig import _hypothesis_verdict
+
+        calls = []
+        original = kempe.verify.degree_swappable_verdict
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kempe.verify, "degree_swappable_verdict", counting)
+        _hypothesis_verdict.cache_clear()
+        g, h, lists = self.host_with_chorded_cycle()
+        start = enumerate_L_colorings(g, lists, 500_000)[0]
+        for _ in range(3):
+            assert lift_through_subgraph(g, h, lists, start, []).final == start
+        _hypothesis_verdict.cache_clear()
+        assert len(calls) == 1
+
     def test_fprime_below_subgraph_degree_rejected(self):
         g, h, lists = self.host_with_chorded_cycle()
         small = list(lists)

@@ -19,6 +19,7 @@ from kempe.errors import PreconditionError
 from kempe.graphs import cartesian_product, from_edges, generate, line_graph, parse_family
 from kempe.reconfig import (
     ClassConstraint,
+    ReconfigSpace,
     build_reconfig_graph,
     cover_certificate,
     equivalence_path,
@@ -104,6 +105,32 @@ class TestReconfigGraphStructure:
             assert diff <= comp and diff
             assert move.anchor == min(comp)
             assert rg.component_ids[a] == rg.component_ids[b]
+
+    def test_space_neighbors_are_exactly_the_valid_swaps(self):
+        # Completeness oracle: the bitmask neighbors of each coloring are the
+        # valid classify_swap outcomes over every anchor and color pair, each
+        # once, and a coloring is frozen iff it has none.
+        rng = random.Random(23)
+        for _ in range(25):
+            n = rng.randrange(2, 7)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            g = from_edges(n, edges)
+            lists = make_lists([set(rng.sample(range(1, 6), rng.randrange(1, 4)))
+                                for _ in range(n)])
+            space = ReconfigSpace(g, lists)
+            pairs = list(itertools.combinations(sorted(set().union(*lists)), 2))
+            coloring_of = {space.to_masks(phi): phi for phi in space.colorings}
+            for masks, phi in coloring_of.items():
+                expected = set()
+                for anchor in range(n):
+                    for pair in pairs:
+                        outcome = classify_swap(g, lists, phi, SwapMove(anchor, pair))
+                        if outcome.valid:
+                            expected.add(outcome.coloring)
+                got = [coloring_of[new] for _, _, _, new in space.neighbors(masks)]
+                assert len(got) == len(set(got))
+                assert set(got) == expected
+                assert space.is_frozen(phi) == (not expected)
 
 
 class TestEquivalencePath:

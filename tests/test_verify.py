@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from kempe.errors import ParameterError
 from kempe.graphs import generate, line_graph, parse_family
 from kempe.reconfig import mixing_classes
 from kempe.verify import (
+    DEFAULT_MAX_ASSIGNMENTS,
     AssignmentStream,
     canonicalize_assignment,
     count_assignment_orbits_reference,
@@ -111,11 +113,18 @@ class TestDegreeSwappableVerdict:
         report = degree_swappable_verdict(fam("cycle(6)"), cap=4, max_assignments=2)
         assert report.verdict in ("budget-exceeded", "counterexample")
 
-    def test_workers_give_identical_reports(self):
-        h = line_graph(fam("barbell(4,4,0)"))
-        seq = degree_swappable_verdict(h, cap=4, workers=1)
-        par = degree_swappable_verdict(h, cap=4, workers=2)
-        assert (seq.verdict, seq.assignments_checked) == (par.verdict, par.assignments_checked)
+    @pytest.mark.parametrize("graph, budget, verdict", [
+        ("barbell", DEFAULT_MAX_ASSIGNMENTS, "verified"),
+        ("cycle(6)", DEFAULT_MAX_ASSIGNMENTS, "counterexample"),
+        ("barbell", 17, "budget-exceeded"),
+        ("barbell", 0, "budget-exceeded"),
+    ], ids=["verified", "counterexample", "budget-exceeded", "zero-budget"])
+    def test_workers_give_identical_reports(self, graph, budget, verdict):
+        g = line_graph(fam("barbell(4,4,0)")) if graph == "barbell" else fam(graph)
+        seq = degree_swappable_verdict(g, cap=4, max_assignments=budget, workers=1)
+        par = degree_swappable_verdict(g, cap=4, max_assignments=budget, workers=2)
+        assert seq.verdict == verdict
+        assert dataclasses.replace(seq, runtime=0.0) == dataclasses.replace(par, runtime=0.0)
 
 
 class TestVerifyLemma:
