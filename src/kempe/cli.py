@@ -16,7 +16,7 @@ from . import io as kio
 from .coloring import DEFAULT_MAX_COLORINGS, check_coloring, enumerate_L_colorings
 from .discharging import run_discharging
 from .errors import BudgetError, KempeError, ParameterError, PreconditionError
-from .graphs import generate, line_graph, parse_family
+from .graphs import Graph, generate, is_isomorphic, line_graph, parse_family
 from .planar import detect_configuration, extract_special_subgraph, structural_audit, trace_faces
 from .reconfig import (
     build_reconfig_graph,
@@ -33,7 +33,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(args) -> "Graph":
+def _load_graph(args) -> Graph:
     if getattr(args, "graph", None):
         text = _read(args.graph)
         if text.lstrip().startswith(">>graph6<<") or args.graph.endswith(".g6"):
@@ -199,17 +199,12 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    if args.kind == "C1":
-        g = _load_graph(args)
-        witness = detect_configuration(g, "C1", threshold=args.threshold)
-    else:
-        g = _load_graph(args)
-        witness = detect_configuration(g, args.kind)
+    g = _load_graph(args)
+    witness = detect_configuration(g, args.kind, threshold=args.threshold)
     if witness is None:
         note = ""
         if args.kind == "C3-theta" and g.n <= 12:
-            from kempe.graphs import generate as _gen, is_isomorphic, parse_family as _pf
-            if is_isomorphic(g, _gen(_pf("complete_bipartite(2,3)"))) is not None:
+            if is_isomorphic(g, generate(parse_family("complete_bipartite(2,3)"))) is not None:
                 note = " (isomorphic to K_{2,3})"
         _emit(args, [f"{args.kind}: absent{note}"])
         return 1

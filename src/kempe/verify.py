@@ -64,10 +64,6 @@ class AssignmentStream:
     seed: int = 0
 
 
-def degree_stream(g: Graph, cap: int, sample: int | None = None, seed: int = 0) -> AssignmentStream:
-    return AssignmentStream(g.degrees(), cap, sample, seed)
-
-
 @functools.lru_cache(maxsize=None)
 def _perm_tables(cap: int) -> tuple[tuple[int, ...], ...]:
     """For each non-identity permutation of the cap colors, a mask-image table."""
@@ -193,6 +189,10 @@ class ChoosabilityReport:
     assignments_checked: int
 
 
+def _uncolorable_failure(g: Graph, lists: ListAssignment) -> str | None:
+    return None if has_L_coloring(g, lists) is not None else "no L-coloring"
+
+
 def is_degree_choosable(g: Graph, cap: int | None = None, sample: int | None = None,
                         seed: int = 0, max_assignments: int | None = None) -> ChoosabilityReport:
     """Brute-force degree-choosability verdict.
@@ -205,18 +205,13 @@ def is_degree_choosable(g: Graph, cap: int | None = None, sample: int | None = N
     """
     if not is_connected(g):
         raise PreconditionError("degree-choosability test requires a connected graph")
-    eff_cap = max(cap if cap is not None else 4, g.max_degree(), 1)
-    stream = AssignmentStream(sizes=g.degrees(), cap=eff_cap, sample=sample, seed=seed)
-    checked = 0
-    exhausted_budget = False
-    for lists in enumerate_degree_assignments(stream):
-        if max_assignments is not None and checked >= max_assignments:
-            exhausted_budget = True
-            break
-        checked += 1
-        if has_L_coloring(g, lists) is None:
-            return ChoosabilityReport(False, sample is None, lists, checked)
-    return ChoosabilityReport(True, sample is None and not exhausted_budget, None, checked)
+    # The loop raises the cap to the largest list size, here the max degree.
+    report = f_swappable_verdict(g, g.degrees(), cap=4 if cap is None else cap, sample=sample,
+                                 seed=seed, max_assignments=max_assignments,
+                                 checker=_uncolorable_failure)
+    return ChoosabilityReport(report.verdict != "counterexample",
+                              sample is None and report.verdict != "budget-exceeded",
+                              report.counterexample, report.assignments_checked)
 
 
 @dataclass(frozen=True)
@@ -259,29 +254,30 @@ def _check_task(task):
 
 
 def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None,
-                        seed: int = 0, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
+                        seed: int = 0, max_assignments: int | None = DEFAULT_MAX_ASSIGNMENTS,
                         max_colorings: int = DEFAULT_MAX_COLORINGS,
                         lemma_id: str = "f-swappable", instance: str = "",
-                        predicate=None, checker=None, workers: int = 1) -> LemmaReport:
+                        checker=None, workers: int = 1) -> LemmaReport:
     """Check L-swappability over every canonical assignment with the given sizes.
 
-    predicate filters the hypothesis space; checker replaces the default
-    whole-graph swappability check (it gets (g, lists) and returns an error
-    string or None).  Stops at the first counterexample in stream order, so
-    the report is the same for any worker count.  The default check runs in
-    a pool of workers when workers > 1; a checker always runs in this process.
+    checker replaces the default whole-graph swappability check: it gets
+    (g, lists) and returns an error string or None.  It must be picklable
+    (a module-level function, or a functools.partial of one) when
+    workers > 1, since every check then runs in a pool of workers.  Stops at
+    the first counterexample in stream order, so the report is the same for
+    any worker count.  max_assignments=None checks the whole stream.
     """
+    for name, value, least in (("sample", sample, 1), ("max_assignments", max_assignments, 0),
+                               ("max_colorings", max_colorings, 0), ("workers", workers, 1)):
+        if value is not None and value < least:
+            raise ParameterError(f"{name} must be at least {least}, got {value}")
     t0 = time.perf_counter()
     cap = max(cap, max(sizes, default=1))  # the stream must admit the sizes
     spec = AssignmentStream(tuple(sizes), cap, sample, seed)
     stream = enumerate_degree_assignments(spec)
-    if predicate is not None:
-        stream = filter(predicate, stream)
-    check = (checker if checker is not None
-             else functools.partial(_swappable_failure, max_colorings=max_colorings))
-    # A negative budget checks nothing, like a zero one (islice rejects it).
-    tasks = ((check, g, lists) for lists in itertools.islice(stream, max(max_assignments, 0)))
-    if workers > 1 and checker is None:
+    check = checker or functools.partial(_swappable_failure, max_colorings=max_colorings)
+    tasks = ((check, g, lists) for lists in itertools.islice(stream, max_assignments))
+    if workers > 1:
         # Imported here, not at the top: the import alone adds about 1 MiB to
         # the peak memory of every run that loads this module.
         import multiprocessing
@@ -332,130 +328,101 @@ def frozen_colorings(g: Graph, lists: ListAssignment,
 # Lemma harnesses
 # ---------------------------------------------------------------------------
 
-def _as_family(instance) -> FamilySpec:
-    if isinstance(instance, FamilySpec):
-        return instance
-    return parse_family(str(instance))
+def _big_intersection_failure(g: Graph, lists: ListAssignment, edges,
+                              max_colorings: int) -> str | None:
+    for u, v in edges:
+        if len(lists[u] & lists[v]) <= 1:
+            if not is_L_swappable(g, lists, max_colorings):
+                return f"not swappable though |L({u}) ^ L({v})| <= 1"
+    return None
 
 
-def _require_bipartite_barbell(spec: FamilySpec) -> None:
+def _cor_fix_one_failure(g: Graph, lists: ListAssignment, targets,
+                         max_colorings: int) -> str | None:
+    report = mixing_classes(g, lists, max_colorings)
+    for v in targets:
+        for alpha in sorted(lists[v]):
+            if any(alpha not in lists[w] for w in g.adj[v]):
+                verdict = subset_mixes(g, lists, ClassConstraint.fix(v, alpha), report=report)
+                if not verdict.mixes:
+                    return f"L_({v},{alpha}) does not mix"
+    return None
+
+
+def _cor_fix_two_failure(g: Graph, lists: ListAssignment, triples,
+                         max_colorings: int) -> str | None:
+    report = mixing_classes(g, lists, max_colorings)
+    for v, w, x in triples:
+        for alpha in sorted(lists[v] & lists[x]):
+            constraint = ClassConstraint.conjunction([(v, alpha), (x, alpha)])
+            if not subset_mixes(g, lists, constraint, report=report).mixes:
+                return f"L_({v},{alpha}) ^ L_({x},{alpha}) does not mix"
+    return None
+
+
+def _spec(instance, default: FamilySpec, lemma_id: str | None = None) -> FamilySpec:
+    """The instance's family spec, or the default; of the default's family when lemma_id is set."""
+    if instance is None:
+        return default
+    spec = instance if isinstance(instance, FamilySpec) else parse_family(str(instance))
+    if lemma_id is not None and spec.family != default.family:
+        raise ParameterError(f"{lemma_id} lemma needs a {default.family} instance, got {spec}")
+    return spec
+
+
+def _barbell(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("barbell", (4, 4, 0)), "barbell")
     c1, c2, _ = spec.params
     if c1 % 2 or c2 % 2:
         raise ParameterError(f"{spec} is not a bipartite barbell: both cycle lengths "
                              f"must be even")
-
-
-def _require_short_theta(spec: FamilySpec) -> None:
-    l1, l2, l3 = spec.params
-    lengths = sorted((l1, l2, l3))
-    if lengths[0] != 1:
-        raise ParameterError(f"{spec} has no path of length 1")
-    if any(l % 2 == 0 for l in lengths):
-        raise ParameterError(f"{spec} is not bipartite: all path lengths must share parity")
-
-
-def verify_lemma(lemma_id: str, instance=None, cap: int = 4, sample: int | None = None,
-                 seed: int = 0, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-                 max_colorings: int = DEFAULT_MAX_COLORINGS, workers: int = 1) -> LemmaReport:
-    """Brute-force check of one named swappability statement.
-
-    Instances outside a lemma's hypothesis space (an odd barbell cycle, the
-    prism K3 x K2, a theta with no length-1 path for short-theta) are
-    rejected with a parameter error naming the exclusion.
-    """
-    handler = _LEMMAS.get(lemma_id)
-    if handler is None:
-        raise ParameterError(f"unknown lemma id {lemma_id!r}; known: {sorted(_LEMMAS)}")
-    return handler(instance, cap=cap, sample=sample, seed=seed,
-                   max_assignments=max_assignments, max_colorings=max_colorings,
-                   workers=workers)
-
-
-def _lemma_barbell(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("barbell", (4, 4, 0))
-    if spec.family != "barbell":
-        raise ParameterError(f"barbell lemma needs a barbell instance, got {spec}")
-    _require_bipartite_barbell(spec)
     h = line_graph(generate(spec))
-    report = degree_swappable_verdict(h, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
-                                      max_assignments=kw["max_assignments"],
-                                      max_colorings=kw["max_colorings"],
-                                      instance=f"line_graph({spec})",
-                                      workers=kw.get("workers", 1))
-    return replace(report, lemma_id="barbell")
+    return h, h.degrees(), f"line_graph({spec})", None
 
 
-def _lemma_k4k2(instance, **kw) -> LemmaReport:
+def _k4k2(instance, max_colorings):
     if instance is not None:
         raise ParameterError("k4k2 takes no instance parameter")
     g = cartesian_product(generate(FamilySpec("clique", (4,))),
                           generate(FamilySpec("clique", (2,))))
-    cap = max(kw["cap"], 4)
-    return f_swappable_verdict(g, (4,) * g.n, cap=cap, sample=kw["sample"], seed=kw["seed"],
-                               max_assignments=kw["max_assignments"],
-                               max_colorings=kw["max_colorings"],
-                               lemma_id="k4k2", instance="K4xK2, 4-assignments",
-                               workers=kw.get("workers", 1))
+    return g, (4,) * g.n, "K4xK2, 4-assignments", None
 
 
-def _lemma_short_theta(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("theta", (1, 3, 3))
-    if spec.family != "theta":
-        raise ParameterError(f"short-theta lemma needs a theta instance, got {spec}")
-    _require_short_theta(spec)
+def _short_theta(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("theta", (1, 3, 3)), "short-theta")
+    lengths = sorted(spec.params)
+    if lengths[0] != 1:
+        raise ParameterError(f"{spec} has no path of length 1")
+    if any(l % 2 == 0 for l in lengths):
+        raise ParameterError(f"{spec} is not bipartite: all path lengths must share parity")
     h = line_graph(generate(spec))
-    report = degree_swappable_verdict(h, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
-                                      max_assignments=kw["max_assignments"],
-                                      max_colorings=kw["max_colorings"],
-                                      instance=f"line_graph({spec})",
-                                      workers=kw.get("workers", 1))
-    return replace(report, lemma_id="short-theta")
+    return h, h.degrees(), f"line_graph({spec})", None
 
 
-def _lemma_prism(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("prism", (2, 1, 1))
-    if spec.family != "prism":
-        raise ParameterError(f"prism lemma needs a prism instance, got {spec}")
+def _prism(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("prism", (2, 1, 1)), "prism")
     if spec.params == (1, 1, 1):
         raise ParameterError("prism(1,1,1) is K3 x K2, the excluded instance")
     g = generate(spec)
-    report = degree_swappable_verdict(g, cap=kw["cap"], sample=kw["sample"], seed=kw["seed"],
-                                      max_assignments=kw["max_assignments"],
-                                      max_colorings=kw["max_colorings"],
-                                      instance=str(spec), workers=kw.get("workers", 1))
-    return replace(report, lemma_id="prism")
+    return g, g.degrees(), str(spec), None
 
 
-def _lemma_big_intersection(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("clique", (4,))
+def _big_intersection(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("clique", (4,)))
     g = generate(spec)
     edges = []
     for u, v in g.edges():
         reduced = delete_edge(g, u, v)
-        if not is_connected(reduced):
-            continue
-        if is_gallai_tree(reduced).is_gallai_tree:
-            continue
-        edges.append((u, v))
+        if is_connected(reduced) and not is_gallai_tree(reduced).is_gallai_tree:
+            edges.append((u, v))
     if not edges:
         raise ParameterError(f"{spec} has no edge vw with g-vw connected and degree-choosable")
-
-    def checker(graph, lists):
-        for u, v in edges:
-            if len(lists[u] & lists[v]) <= 1:
-                if not is_L_swappable(graph, lists, kw["max_colorings"]):
-                    return f"not swappable though |L({u}) ^ L({v})| <= 1"
-        return None
-
-    return f_swappable_verdict(g, g.degrees(), cap=kw["cap"], sample=kw["sample"],
-                               seed=kw["seed"], max_assignments=kw["max_assignments"],
-                               max_colorings=kw["max_colorings"],
-                               lemma_id="big-intersection",
-                               instance=f"{spec}, edges {edges}", checker=checker)
+    check = functools.partial(_big_intersection_failure, edges=edges, max_colorings=max_colorings)
+    return g, g.degrees(), f"{spec}, edges {edges}", check
 
 
-def _lemma_cor_order(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("cycle", (4,))
+def _cor_order(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("cycle", (4,)))
     g = generate(spec)
     if not is_connected(g):
         raise ParameterError("cor-order needs a connected instance")
@@ -463,39 +430,20 @@ def _lemma_cor_order(instance, **kw) -> LemmaReport:
     sizes[0] += 1  # slack at vertex 0; ordering by distance then exists
     if slack_order(g, sizes) is None:
         raise ParameterError("no elimination order exists despite slack")
-    return f_swappable_verdict(g, tuple(sizes), cap=max(kw["cap"], max(sizes)),
-                               sample=kw["sample"], seed=kw["seed"],
-                               max_assignments=kw["max_assignments"],
-                               max_colorings=kw["max_colorings"],
-                               lemma_id="cor-order",
-                               instance=f"{spec}, degree sizes with slack at 0")
+    return g, tuple(sizes), f"{spec}, degree sizes with slack at 0", None
 
 
-def _lemma_cor_fix_one(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("cycle", (4,))
+def _cor_fix_one(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("cycle", (4,)))
     g = generate(spec)
     targets = [v for v in range(g.n)
                if is_connected(induced_subgraph(g, set(range(g.n)) - {v})[0])]
-
-    def checker(graph, lists):
-        report = mixing_classes(graph, lists, kw["max_colorings"])
-        for v in targets:
-            for alpha in sorted(lists[v]):
-                if any(alpha not in lists[w] for w in graph.adj[v]):
-                    verdict = subset_mixes(graph, lists, ClassConstraint.fix(v, alpha),
-                                           report=report)
-                    if not verdict.mixes:
-                        return f"L_({v},{alpha}) does not mix"
-        return None
-
-    return f_swappable_verdict(g, g.degrees(), cap=kw["cap"], sample=kw["sample"],
-                               seed=kw["seed"], max_assignments=kw["max_assignments"],
-                               max_colorings=kw["max_colorings"],
-                               lemma_id="cor-fix-one", instance=str(spec), checker=checker)
+    check = functools.partial(_cor_fix_one_failure, targets=targets, max_colorings=max_colorings)
+    return g, g.degrees(), str(spec), check
 
 
-def _lemma_cor_fix_two(instance, **kw) -> LemmaReport:
-    spec = _as_family(instance) if instance is not None else FamilySpec("theta", (1, 2, 2))
+def _cor_fix_two(instance, max_colorings):
+    spec = _spec(instance, FamilySpec("theta", (1, 2, 2)))
     g = generate(spec)
     triples = []
     for w in range(g.n):
@@ -507,22 +455,23 @@ def _lemma_cor_fix_two(instance, **kw) -> LemmaReport:
                 triples.append((v, w, x))
     if not triples:
         raise ParameterError(f"{spec} has no admissible (v,w,x) triple")
+    check = functools.partial(_cor_fix_two_failure, triples=triples, max_colorings=max_colorings)
+    return g, g.degrees(), str(spec), check
 
-    def checker(graph, lists):
-        report = mixing_classes(graph, lists, kw["max_colorings"])
-        for v, w, x in triples:
-            for alpha in sorted(lists[v] & lists[x]):
-                constraint = ClassConstraint.conjunction([(v, alpha), (x, alpha)])
-                verdict = subset_mixes(graph, lists, constraint, report=report)
-                if not verdict.mixes:
-                    return f"L_({v},{alpha}) ^ L_({x},{alpha}) does not mix"
-        return None
 
-    return f_swappable_verdict(g, g.degrees(), cap=kw["cap"], sample=kw["sample"],
-                               seed=kw["seed"], max_assignments=kw["max_assignments"],
-                               max_colorings=kw["max_colorings"],
-                               lemma_id="cor-fix-two", instance=str(spec), checker=checker)
-
+# Each lemma maps (instance, max_colorings) to (graph, list sizes, instance
+# text, check) for one f_swappable_verdict run; a check of None is
+# whole-graph swappability.
+_LEMMAS = {
+    "barbell": _barbell,
+    "k4k2": _k4k2,
+    "short-theta": _short_theta,
+    "prism": _prism,
+    "big-intersection": _big_intersection,
+    "cor-order": _cor_order,
+    "cor-fix-one": _cor_fix_one,
+    "cor-fix-two": _cor_fix_two,
+}
 
 #: Default smallest-instance schedule for the combined reduction lemma.  The
 #: lemma quantifies over the infinite families of bipartite barbells and
@@ -536,7 +485,29 @@ REDUC_SCHEDULE = (
 )
 
 
-def _lemma_reduc(instance, **kw) -> LemmaReport:
+def verify_lemma(lemma_id: str, instance=None, cap: int = 4, sample: int | None = None,
+                 seed: int = 0, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
+                 max_colorings: int = DEFAULT_MAX_COLORINGS, workers: int = 1) -> LemmaReport:
+    """Brute-force check of one named swappability statement.
+
+    Instances outside a lemma's hypothesis space (an odd barbell cycle, the
+    prism K3 x K2, a theta with no length-1 path for short-theta) are
+    rejected with a parameter error naming the exclusion.
+    """
+    budgets = dict(cap=cap, sample=sample, seed=seed, max_assignments=max_assignments,
+                   max_colorings=max_colorings, workers=workers)
+    if lemma_id == "reduc-lem":
+        return _verify_reduc(instance, budgets)
+    entry = _LEMMAS.get(lemma_id)
+    if entry is None:
+        known = sorted([*_LEMMAS, "reduc-lem"])
+        raise ParameterError(f"unknown lemma id {lemma_id!r}; known: {known}")
+    g, sizes, text, check = entry(instance, max_colorings)
+    return f_swappable_verdict(g, sizes, lemma_id=lemma_id, instance=text, checker=check,
+                               **budgets)
+
+
+def _verify_reduc(instance, budgets) -> LemmaReport:
     if instance is not None:
         raise ParameterError("reduc-lem runs its fixed smallest-instance schedule; "
                              "verify the sub-lemmas directly for other instances")
@@ -544,26 +515,14 @@ def _lemma_reduc(instance, **kw) -> LemmaReport:
     checked = 0
     parts = []
     for sub_id, sub_instance in REDUC_SCHEDULE:
-        report = verify_lemma(sub_id, sub_instance, **kw)
+        report = verify_lemma(sub_id, sub_instance, **budgets)
         checked += report.assignments_checked
         parts.append(f"{sub_id}({report.instance}):{report.verdict}")
         if report.verdict != "verified":
             return replace(report, lemma_id="reduc-lem", detail="; ".join(parts))
-    return LemmaReport("reduc-lem", "smallest-instance schedule", f"schedule(cap={kw['cap']})",
+    return LemmaReport("reduc-lem", "smallest-instance schedule",
+                       f"schedule(cap={budgets['cap']})",
                        "verified", detail="; ".join(parts) + "; infinite families not "
                        "machine-checked beyond this schedule",
-                       assignments_checked=checked, seed=kw["seed"],
+                       assignments_checked=checked, seed=budgets["seed"],
                        runtime=time.perf_counter() - t0)
-
-
-_LEMMAS = {
-    "reduc-lem": _lemma_reduc,
-    "barbell": _lemma_barbell,
-    "k4k2": _lemma_k4k2,
-    "short-theta": _lemma_short_theta,
-    "prism": _lemma_prism,
-    "big-intersection": _lemma_big_intersection,
-    "cor-order": _lemma_cor_order,
-    "cor-fix-one": _lemma_cor_fix_one,
-    "cor-fix-two": _lemma_cor_fix_two,
-}

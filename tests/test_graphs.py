@@ -21,7 +21,7 @@ from kempe.graphs import (
     line_graph,
     parse_family,
 )
-from kempe.verify import is_degree_choosable
+from kempe.verify import ChoosabilityReport, is_degree_choosable
 
 
 def fam(text):
@@ -214,6 +214,14 @@ class TestDegreeChoosable:
     def test_theta133_choosable_exhaustive(self):
         report = is_degree_choosable(fam("theta(1,3,3)"))
         assert report.degree_choosable and report.exhaustive
+
+    @pytest.mark.parametrize("kw, checked", [
+        ({"max_assignments": 2}, 2),
+        ({"sample": 20, "seed": 4}, 20),
+    ], ids=["budget", "sampled"])
+    def test_budget_or_sample_not_exhaustive(self, kw, checked):
+        report = is_degree_choosable(fam("cycle(6)"), **kw)
+        assert report == ChoosabilityReport(True, False, None, checked)
 
     def test_ert_cross_check_families(self):
         for text in ("cycle(5)", "cycle(6)", "clique(4)", "star(3)", "path(4)",

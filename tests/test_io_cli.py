@@ -105,6 +105,15 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", "prism", "--instance", "prism(1,1,1)"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sample", "-5"), ("--sample", "0"), ("--max-assignments", "-1"),
+        ("--max-colorings", "-1"), ("--workers", "0"), ("--workers", "-2"),
+    ])
+    def test_verify_bad_budget_is_input_error(self, flag, value, capsys):
+        assert main(["verify", "barbell", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag[2:].replace("-", "_") in captured.err
+
     def test_verify_counterexample_exit(self, tmp_path, capsys):
         # no cycle is degree-swappable
         assert main(["verify", "cor-order", "--instance", "cycle(4)"]) == 0

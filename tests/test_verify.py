@@ -16,7 +16,6 @@ from kempe.verify import (
     AssignmentStream,
     canonicalize_assignment,
     count_assignment_orbits_reference,
-    degree_stream,
     degree_swappable_verdict,
     enumerate_degree_assignments,
     f_swappable_verdict,
@@ -113,16 +112,25 @@ class TestDegreeSwappableVerdict:
         report = degree_swappable_verdict(fam("cycle(6)"), cap=4, max_assignments=2)
         assert report.verdict in ("budget-exceeded", "counterexample")
 
-    @pytest.mark.parametrize("graph, budget, verdict", [
-        ("barbell", DEFAULT_MAX_ASSIGNMENTS, "verified"),
-        ("cycle(6)", DEFAULT_MAX_ASSIGNMENTS, "counterexample"),
-        ("barbell", 17, "budget-exceeded"),
-        ("barbell", 0, "budget-exceeded"),
-    ], ids=["verified", "counterexample", "budget-exceeded", "zero-budget"])
-    def test_workers_give_identical_reports(self, graph, budget, verdict):
-        g = line_graph(fam("barbell(4,4,0)")) if graph == "barbell" else fam(graph)
-        seq = degree_swappable_verdict(g, cap=4, max_assignments=budget, workers=1)
-        par = degree_swappable_verdict(g, cap=4, max_assignments=budget, workers=2)
+    @pytest.mark.parametrize("lemma, graph, budget, verdict", [
+        (None, "barbell", DEFAULT_MAX_ASSIGNMENTS, "verified"),
+        (None, "cycle(6)", DEFAULT_MAX_ASSIGNMENTS, "counterexample"),
+        (None, "barbell", 17, "budget-exceeded"),
+        (None, "barbell", 0, "budget-exceeded"),
+        ("cor-fix-one", "theta(1,3,3)", DEFAULT_MAX_ASSIGNMENTS, "verified"),
+        ("cor-fix-one", "theta(1,3,3)", 17, "budget-exceeded"),
+        ("big-intersection", "clique(4)", DEFAULT_MAX_ASSIGNMENTS, "verified"),
+    ], ids=["verified", "counterexample", "budget-exceeded", "zero-budget",
+            "cor-fix-one", "cor-fix-one-budget", "big-intersection"])
+    def test_workers_give_identical_reports(self, lemma, graph, budget, verdict):
+        # The lemma cases run a checker of their own, which goes to the pool too.
+        def run(workers):
+            if lemma is not None:
+                return verify_lemma(lemma, graph, cap=4, max_assignments=budget, workers=workers)
+            g = line_graph(fam("barbell(4,4,0)")) if graph == "barbell" else fam(graph)
+            return degree_swappable_verdict(g, cap=4, max_assignments=budget, workers=workers)
+
+        seq, par = run(1), run(2)
         assert seq.verdict == verdict
         assert dataclasses.replace(seq, runtime=0.0) == dataclasses.replace(par, runtime=0.0)
 
