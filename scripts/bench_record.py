@@ -1,0 +1,116 @@
+"""Record a before/after performance comparison of two source checkouts as JSON.
+
+Runs `perfbench/run.py` on every workload that BENCHMARK.json lists, for its
+`run_seconds`, in 10 pairs that alternate the two checkouts (the order flips
+on every other pair, so a slow drift of the machine weighs on both sides
+alike), then the tier-1 test suite once per checkout with per-test durations.
+Writes one JSON document with the end-to-end metrics of BENCHMARK.json:
+
+    python3 scripts/bench_record.py --before ../parent --after . --out BENCH.json
+
+Each checkout must hold `src/kempe` and `perfbench/`; make the "before" one
+with `git archive <rev> | tar -x -C DIR`.  Nothing is imported from either.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
+CRITERIA = ("test_criterion_5_barbell_lemma", "test_criterion_6_k4k2_lemma",
+            "test_criterion_7_short_theta_and_prisms")
+
+
+def perfbench(checkout: str, workload: str, seed: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} is not clean: {result}")
+    return {name: result["metrics"][name]["value"] for name in METRICS}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare_workload(before: str, after: str, workload: str) -> dict:
+    runs = {"before": [], "after": []}
+    for pair in range(PAIRS):
+        sides = [("before", before), ("after", after)]
+        for side, checkout in sides if pair % 2 == 0 else reversed(sides):
+            runs[side].append(perfbench(checkout, workload, pair + 1))
+            print(f"{workload} pair {pair + 1} {side}: {runs[side][-1]}", file=sys.stderr)
+    out = {}
+    for name in METRICS:
+        b = [r[name] for r in runs["before"]]
+        a = [r[name] for r in runs["after"]]
+        out[name] = {"before": summary(b), "after": summary(a),
+                     "after_wins": sum(x < y for x, y in zip(a, b)),
+                     "speedup_of_medians": statistics.median(b) / statistics.median(a)}
+    return out
+
+
+def tier1(checkout: str) -> dict:
+    env = dict(os.environ, PYTHONPATH="src")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    tail = proc.stdout.strip().splitlines()[-1]
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: tier-1 is not clean: {tail}")
+    criteria = {}
+    for line in proc.stdout.splitlines():
+        match = re.match(r"\s*([\d.]+)s call\s+\S+::(\w+)", line)
+        if match and match.group(2) in CRITERIA:
+            criteria[match.group(2)] = float(match.group(1))
+    missing = set(CRITERIA) - set(criteria)
+    if missing:
+        raise SystemExit(f"{checkout}: no --durations line for {sorted(missing)}")
+    return {"wall_s": wall, "summary": tail, "criteria_s": criteria,
+            "criteria_5_7_s": sum(criteria.values())}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", required=True, help="checkout measured as the baseline")
+    parser.add_argument("--after", required=True, help="checkout measured as the change")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    record = {
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "pairs": PAIRS,
+        "seconds_per_run": SECONDS,
+        "workloads": {w: compare_workload(args.before, args.after, w) for w in WORKLOADS},
+        "tier1": {"before": tier1(args.before), "after": tier1(args.after)},
+    }
+    b, a = (record["tier1"][side]["criteria_5_7_s"] for side in ("before", "after"))
+    record["tier1"]["criteria_5_7_speedup"] = b / a
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -117,10 +117,7 @@ def enumerate_L_colorings(g: Graph, lists: ListAssignment,
     The product of list sizes is used as a cheap budget bound before any work
     happens; exceeding it raises a budget error carrying the bound.
     """
-    _require_lists(g, lists)
-    bound = math.prod(len(s) for s in lists) if g.n else 1
-    if bound > max_colorings:
-        raise BudgetError(f"coloring space bound {bound} exceeds budget {max_colorings}", bound)
+    _require_bound(g, lists, max_colorings)
     order = [tuple(sorted(s)) for s in lists]
     back = [[w for w in g.adj[v] if w < v] for v in range(g.n)]
     out: list[Coloring] = []
@@ -137,6 +134,20 @@ def enumerate_L_colorings(g: Graph, lists: ListAssignment,
 
     descend(0)
     return out
+
+
+def _require_budget(max_colorings: int) -> None:
+    if max_colorings < 0:
+        raise ParameterError(f"max_colorings must be at least 0, got {max_colorings}")
+
+
+def _require_bound(g: Graph, lists: ListAssignment, max_colorings: int) -> None:
+    """Fail before any work when the product of list sizes exceeds the budget."""
+    _require_lists(g, lists)
+    _require_budget(max_colorings)
+    bound = math.prod(len(s) for s in lists) if g.n else 1
+    if bound > max_colorings:
+        raise BudgetError(f"coloring space bound {bound} exceeds budget {max_colorings}", bound)
 
 
 def count_L_colorings_reference(g: Graph, lists: ListAssignment, order=None) -> int:

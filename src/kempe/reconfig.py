@@ -4,11 +4,12 @@ Nodes are L-colorings, edges are L-valid Kempe swaps.  Mixing classes are the
 connected components; a graph is L-swappable iff there is at most one class.
 
 ReconfigSpace holds this graph for one (g, L) pair and runs the one flood
-that mixing classes, swappability, the explicit graph and shortest paths all
-use.  It encodes a coloring as per-color vertex bitmasks, so finding the
-two-colored components and checking list validity of a swap are a handful of
-integer operations.  Public results are always plain colorings (tuples of
-colors) in the deterministic order produced by enumerate_L_colorings.
+that mixing classes, the explicit graph and shortest paths all use.  It
+encodes a coloring as per-color vertex bitmasks, so checking list validity of
+a swap is a handful of integer operations, and it looks the two-colored
+components up in a memo shared by every space on the same graph.  Public
+results are always plain colorings (tuples of colors) in the deterministic
+order produced by enumerate_L_colorings.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .coloring import (
     ListAssignment,
     SwapMove,
     _component,
+    _require_bound,
+    _require_budget,
     check_coloring,
     check_partial,
     classify_swap,
@@ -40,6 +43,38 @@ from .graphs import Graph, induced_subgraph, is_connected, is_gallai_tree, slack
 # The reconfiguration space
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _component_memo(n: int, adj) -> dict[int, tuple[int, ...]]:
+    """Vertex-subset mask -> the masks of its components, filled as subsets are met.
+
+    One memo per graph, shared by every space on it: all the assignments of
+    one lemma, in each worker process.  It outlives the call that filled it
+    while its graph is among the 8 most recent, and holds at most one entry
+    per vertex subset met, so at most 2^n.  On the path P18 with lists
+    {1,2,3} (393,216 colorings) mixing_classes leaves 6,765 entries, 2 MiB.
+    """
+    return {}
+
+
+def _components(adjm, s: int) -> tuple[int, ...]:
+    """Component masks of the subgraph induced by the vertex mask s, by lowest vertex."""
+    comps = []
+    while s:
+        comp = s & -s
+        frontier = comp
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adjm[low.bit_length() - 1]
+            frontier = nxt & s & ~comp
+            comp |= frontier
+        s &= ~comp
+        comps.append(comp)
+    return tuple(comps)
+
+
 class ReconfigSpace:
     """The reconfiguration graph of one (g, L) pair.
 
@@ -51,6 +86,7 @@ class ReconfigSpace:
 
     def __init__(self, g: Graph, lists: ListAssignment,
                  max_colorings: int = DEFAULT_MAX_COLORINGS):
+        _require_budget(max_colorings)
         self.g = g
         self.lists = lists
         self.max_colorings = max_colorings
@@ -62,6 +98,7 @@ class ReconfigSpace:
         for v, s in enumerate(lists):
             for c in s:
                 self.okm[self.cindex[c]] |= 1 << v
+        self.memo = _component_memo(g.n, g.adj)
 
     @functools.cached_property
     def colorings(self) -> list[Coloring]:
@@ -74,29 +111,52 @@ class ReconfigSpace:
             masks[self.cindex[c]] |= 1 << v
         return tuple(masks)
 
+    def count_colorings(self) -> tuple[int, tuple[int, ...] | None]:
+        """The number of L-colorings and the mask tuple of the first, listing none.
+
+        The first is the first in enumerate_L_colorings order, None if there
+        is no L-coloring.  The same budget check as enumerate_L_colorings
+        comes before any work.
+        """
+        g = self.g
+        _require_bound(g, self.lists, self.max_colorings)
+        n = g.n
+        order = [[self.cindex[c] for c in sorted(s)] for s in self.lists]
+        back = [sum(1 << w for w in g.adj[v] if w < v) for v in range(n)]
+        masks = [0] * self.k
+        first = []
+
+        def descend(v: int) -> int:
+            if v == n:
+                if not first:
+                    first.append(tuple(masks))
+                return 1
+            total = 0
+            bit = 1 << v
+            for c in order[v]:
+                if not masks[c] & back[v]:
+                    masks[c] |= bit
+                    total += descend(v + 1)
+                    masks[c] ^= bit
+            return total
+
+        total = descend(0)
+        return total, (first[0] if first else None)
+
     def neighbors(self, masks):
         """Yield (i, j, comp, new_masks) for every L-valid swap from masks."""
         adjm = self.adjm
         okm = self.okm
+        memo = self.memo
         for i in range(self.k):
             mi = masks[i]
             for j in range(i + 1, self.k):
                 mj = masks[j]
                 s = mi | mj
-                rem = s
-                while rem:
-                    comp = rem & -rem
-                    frontier = comp
-                    while frontier:
-                        nxt = 0
-                        f = frontier
-                        while f:
-                            v = (f & -f).bit_length() - 1
-                            f &= f - 1
-                            nxt |= adjm[v]
-                        frontier = nxt & s & ~comp
-                        comp |= frontier
-                    rem &= ~comp
+                comps = memo.get(s)
+                if comps is None:
+                    comps = memo[s] = _components(adjm, s)
+                for comp in comps:
                     to_j = comp & mi
                     to_i = comp & mj
                     if to_j & ~okm[j] or to_i & ~okm[i]:
@@ -203,16 +263,21 @@ def mixing_classes(g: Graph, lists: ListAssignment,
 
 def is_L_swappable(g: Graph, lists: ListAssignment,
                    max_colorings: int = DEFAULT_MAX_COLORINGS) -> bool:
-    """Fast connectivity check: flood from the first coloring only."""
+    """Fast connectivity check: count the colorings, then flood from the first only."""
     space = ReconfigSpace(g, lists, max_colorings)
-    total = len(space.colorings)
+    total, start = space.count_colorings()
     if total <= 1:
         return True
-    start = space.to_masks(space.colorings[0])
-    seen = {start: None}
-    for _ in space.flood(start, seen):
-        if len(seen) == total:
-            return True
+    neighbors = space.neighbors
+    seen = {start}
+    stack = [start]
+    while stack:
+        for _, _, _, new in neighbors(stack.pop()):
+            if new not in seen:
+                seen.add(new)
+                if len(seen) == total:
+                    return True
+                stack.append(new)
     return False
 
 
@@ -255,6 +320,7 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
     max_colorings bounds the colorings it reaches.  The returned sequence is
     replayed through classify_swap as a self-check before being handed back.
     """
+    _require_budget(max_colorings)
     for phi in (phi1, phi2):
         result = check_coloring(g, lists, phi)
         if not result:
@@ -624,6 +690,7 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
     at the given cap must not find a counterexample.  verify_rest additionally
     checks that g-H is swappable under the restriction of this very L.
     """
+    _require_budget(max_colorings)
     h = frozenset(h_vertices)
     if not h or any(not 0 <= x < g.n for x in h):
         raise ParameterError("H must be a nonempty set of graph vertices")

@@ -196,6 +196,27 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["colorings", "mix", "frozen", "path", "lift"])
+    def test_negative_max_colorings_is_input_error(self, command, tmp_path, capsys):
+        files = {"graph": "4 4\n0 1\n0 3\n1 2\n2 3\n",
+                 "lists": "0: 1 2\n1: 2 3\n2: 3 4\n3: 4 1\n",
+                 "start": "0: 1\n1: 2\n2: 3\n3: 4\n",
+                 "moves": "2: 3 4\n"}
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        argv = [command, "--graph", str(paths["graph"]), "--lists", str(paths["lists"]),
+                "--max-colorings", "-1"]
+        if command == "path":
+            argv += ["--start", str(paths["start"]), "--goal", str(paths["start"])]
+        if command == "lift":
+            argv += ["--start", str(paths["start"]), "--moves", str(paths["moves"]),
+                     "--subgraph", "0,1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_colorings" in captured.err
+
     def test_input_error_exit_code(self, capsys):
         assert main(["gen", "cycle(2)"]) == 3
         capsys.readouterr()

@@ -6,16 +6,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kempe.coloring import (
     SwapMove,
     apply_moves,
     classify_swap,
+    count_L_colorings_reference,
     enumerate_L_colorings,
     kempe_component,
     make_lists,
 )
-from kempe.errors import PreconditionError
+from kempe.errors import BudgetError, ParameterError, PreconditionError
 from kempe.graphs import cartesian_product, from_edges, generate, line_graph, parse_family
 from kempe.reconfig import (
     ClassConstraint,
@@ -131,6 +134,130 @@ class TestReconfigGraphStructure:
                 assert len(got) == len(set(got))
                 assert set(got) == expected
                 assert space.is_frozen(phi) == (not expected)
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _random_colored_case(rng: random.Random, n: int):
+    """A random graph, a proper coloring phi of it, and lists that admit phi."""
+    p = rng.choice((0.15, 0.3, 0.5))
+    g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    k = rng.randrange(2, 6)
+    phi = [0] * n
+    for v in rng.sample(range(n), n):
+        used = {phi[w] for w in g.adj[v]}
+        free = [c for c in range(1, k + 1) if c not in used]
+        phi[v] = rng.choice(free) if free else min(c for c in range(1, n + 2) if c not in used)
+    palette = range(1, max(phi, default=1) + 2)
+    lists = make_lists([{c, *rng.sample(palette, rng.randrange(0, 3))} for c in phi])
+    return g, tuple(phi), lists
+
+
+class TestComponentKernel:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
+    @example(seed=7, n=20)
+    def test_neighbors_match_kempe_component_and_classify_swap(self, seed, n):
+        g, phi, lists = _random_colored_case(random.Random(seed), n)
+        space = ReconfigSpace(g, lists)
+        masks = space.to_masks(phi)
+
+        def decode(new):
+            return tuple(space.universe[next(c for c in range(space.k) if new[c] >> v & 1)]
+                         for v in range(n))
+
+        got = []
+        for i, j, comp, new in space.neighbors(masks):
+            pair = (space.universe[i], space.universe[j])
+            anchor = (comp & -comp).bit_length() - 1
+            assert comp == _mask(kempe_component(g, phi, anchor, pair))
+            got.append(decode(new))
+        expected = set()
+        for anchor in range(n):
+            for pair in itertools.combinations(space.universe, 2):
+                outcome = classify_swap(g, lists, phi, SwapMove(anchor, pair))
+                if outcome.valid:
+                    expected.add(outcome.coloring)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        # The memo holds every component of each pair, ordered by lowest vertex.
+        for i, j in itertools.combinations(range(space.k), 2):
+            pair = (space.universe[i], space.universe[j])
+            s = masks[i] | masks[j]
+            comps = []
+            for v in range(n):
+                if s >> v & 1 and not any(c >> v & 1 for c in comps):
+                    comps.append(_mask(kempe_component(g, phi, v, pair)))
+            assert space.memo[s] == tuple(comps)
+
+    def test_spaces_on_one_graph_share_the_memo(self):
+        g = fam("cycle(5)")
+        first = ReconfigSpace(g, make_lists([{1, 2, 3}] * 5))
+        second = ReconfigSpace(fam("cycle(5)"), make_lists([{1, 2}, {2, 3}] * 2 + [{1, 3}]))
+        assert first.memo is second.memo
+        assert first.memo is not ReconfigSpace(fam("cycle(6)"), make_lists([{1, 2}] * 6)).memo
+
+
+def _random_lists_case(rng: random.Random):
+    """A random graph with random lists, half of them degree-sized lists on a cycle."""
+    n = rng.randrange(3, 8)
+    pairs = list(itertools.combinations(range(n), 2))
+    if rng.random() < 0.5:
+        ring = {tuple(sorted((v, (v + 1) % n))) for v in range(n)}
+        g = from_edges(n, sorted(ring | {e for e in pairs if rng.random() < 0.1}))
+        top = max(g.degrees()) + rng.randrange(0, 2)
+        return g, make_lists([rng.sample(range(1, top + 1), g.degree(v)) for v in range(n)])
+    g = from_edges(n, [e for e in pairs if rng.random() < 0.5])
+    top = rng.randrange(2, 6)
+    return g, make_lists([rng.sample(range(1, top + 1), rng.randrange(1, top + 1))
+                          for _ in range(n)])
+
+
+class TestFusedSwappability:
+    def test_agrees_with_the_full_partition(self):
+        rng = random.Random(606)
+        verdicts = []
+        for _ in range(200):
+            g, lists = _random_lists_case(rng)
+            verdict = is_L_swappable(g, lists)
+            assert verdict == (mixing_classes(g, lists).class_count <= 1)
+            verdicts.append(verdict)
+        assert 0 < verdicts.count(False) < len(verdicts)
+
+    def test_count_matches_the_reference_and_first_is_enumerated_first(self):
+        rng = random.Random(607)
+        for _ in range(100):
+            g, lists = _random_lists_case(rng)
+            space = ReconfigSpace(g, lists)
+            total, first = space.count_colorings()
+            colorings = enumerate_L_colorings(g, lists)
+            assert total == count_L_colorings_reference(g, lists) == len(colorings)
+            assert first == (space.to_masks(colorings[0]) if colorings else None)
+
+    def test_budget_error_carries_the_product_bound(self):
+        g = fam("cycle(4)")
+        lists = make_lists([{1, 2, 3}] * 4)
+        for budget in (0, 17, 80):
+            with pytest.raises(BudgetError) as fused:
+                is_L_swappable(g, lists, max_colorings=budget)
+            with pytest.raises(BudgetError) as listed:
+                enumerate_L_colorings(g, lists, max_colorings=budget)
+            assert fused.value.bound == listed.value.bound == 81
+            assert str(fused.value) == str(listed.value)
+        assert is_L_swappable(g, lists, max_colorings=81)
+
+    def test_negative_budget_is_a_parameter_error(self):
+        g = fam("cycle(4)")
+        lists = make_lists([{1, 2, 3}] * 4)
+        phi = (1, 2, 1, 2)
+        for call in (lambda: is_L_swappable(g, lists, -1),
+                     lambda: mixing_classes(g, lists, -1),
+                     lambda: enumerate_L_colorings(g, lists, -1),
+                     lambda: equivalence_path(g, lists, phi, phi, -1)):
+            with pytest.raises(ParameterError, match="max_colorings must be at least 0"):
+                call()
 
 
 class TestEquivalencePath:
