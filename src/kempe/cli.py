@@ -13,7 +13,7 @@ import shlex
 import sys
 
 from . import io as kio
-from .coloring import DEFAULT_MAX_COLORINGS, check_coloring, enumerate_L_colorings
+from .coloring import DEFAULT_MAX_COLORINGS, _require_budget, check_coloring, enumerate_L_colorings
 from .discharging import run_discharging
 from .errors import BudgetError, KempeError, ParameterError, PreconditionError
 from .graphs import Graph, generate, is_isomorphic, line_graph, parse_family
@@ -290,6 +290,7 @@ def _cmd_lift(args) -> int:
     if (args.vertex is None) == (args.subgraph is None):
         raise ParameterError("give exactly one of --vertex or --subgraph")
     if args.vertex is not None:
+        _require_budget(args.max_colorings)  # unused by a vertex lift, but still checked
         result = lift_through_vertex(g, lists, args.vertex, start, moves,
                                      target_color=args.target_color)
     else:

@@ -301,11 +301,6 @@ def partial_component(g: Graph, phi, v: int, pair, absent: frozenset[int]) -> fr
     return _component(g, phi, v, tuple(sorted(pair)), absent)
 
 
-def check_partial(g: Graph, lists: ListAssignment, phi, absent: frozenset[int]) -> CheckResult:
-    """check_coloring on g minus the absent vertices (phi is None there)."""
-    return _check(g, lists, phi, absent)
-
-
 def classify_swap_partial(g: Graph, lists: ListAssignment, phi, move: SwapMove,
                           absent: frozenset[int]) -> SwapOutcome:
     """classify_swap on g minus the absent vertices."""

@@ -196,23 +196,28 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["colorings", "mix", "frozen", "path", "lift"])
+    @pytest.mark.parametrize("command",
+                             ["colorings", "mix", "frozen", "path", "lift", "lift-vertex"])
     def test_negative_max_colorings_is_input_error(self, command, tmp_path, capsys):
         files = {"graph": "4 4\n0 1\n0 3\n1 2\n2 3\n",
                  "lists": "0: 1 2\n1: 2 3\n2: 3 4\n3: 4 1\n",
                  "start": "0: 1\n1: 2\n2: 3\n3: 4\n",
                  "moves": "2: 3 4\n"}
+        if command == "lift-vertex":
+            # P2 with lists {1,2,3}/{1,2}: the lift succeeds at any valid budget.
+            files = {"graph": "2 1\n0 1\n", "lists": "0: 1 2 3\n1: 1 2\n",
+                     "start": "0: 1\n1: 2\n", "moves": "1: 1 2\n"}
         paths = {}
         for name, text in files.items():
             paths[name] = tmp_path / name
             paths[name].write_text(text)
-        argv = [command, "--graph", str(paths["graph"]), "--lists", str(paths["lists"]),
-                "--max-colorings", "-1"]
+        argv = [command.split("-")[0], "--graph", str(paths["graph"]),
+                "--lists", str(paths["lists"]), "--max-colorings", "-1"]
         if command == "path":
             argv += ["--start", str(paths["start"]), "--goal", str(paths["start"])]
-        if command == "lift":
-            argv += ["--start", str(paths["start"]), "--moves", str(paths["moves"]),
-                     "--subgraph", "0,1"]
+        if command.startswith("lift"):
+            argv += ["--start", str(paths["start"]), "--moves", str(paths["moves"])]
+            argv += ["--vertex", "0"] if command == "lift-vertex" else ["--subgraph", "0,1"]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "max_colorings" in captured.err

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kempe.coloring import (
+    DEFAULT_MAX_COLORINGS,
     SwapMove,
     apply_moves,
     classify_swap,
@@ -134,6 +135,33 @@ class TestReconfigGraphStructure:
                 assert len(got) == len(set(got))
                 assert set(got) == expected
                 assert space.is_frozen(phi) == (not expected)
+
+
+    def test_edges_are_every_valid_swap_once(self):
+        # Completeness oracle: the edges are exactly the unordered pairs
+        # {phi, classify_swap(phi, move)} over every anchor and color pair,
+        # one normalized move each, and the classes are mixing_classes'.
+        rng = random.Random(29)
+        for _ in range(40):
+            g, lists = _random_lists_case(rng)
+            rg = build_reconfig_graph(g, lists)
+            index = {phi: i for i, phi in enumerate(rg.colorings)}
+            pairs = list(itertools.combinations(sorted(set().union(*lists)), 2))
+            expected = set()
+            for a, phi in enumerate(rg.colorings):
+                for anchor in range(g.n):
+                    for pair in pairs:
+                        outcome = classify_swap(g, lists, phi, SwapMove(anchor, pair))
+                        if outcome.valid:
+                            expected.add(frozenset({a, index[outcome.coloring]}))
+            keys = [(a, b) for a, b, _ in rg.edges]
+            assert keys == sorted(set(keys)) and all(a < b for a, b in keys)
+            assert {frozenset(key) for key in keys} == expected
+            for a, b, move in rg.edges:
+                phi = rg.colorings[a]
+                assert classify_swap(g, lists, phi, move).coloring == rg.colorings[b]
+                assert move.anchor == min(kempe_component(g, phi, move.anchor, move.colors))
+            assert rg.component_ids == mixing_classes(g, lists).component_ids
 
 
 def _mask(vertices) -> int:
@@ -310,6 +338,27 @@ class TestEquivalencePath:
         g = fam("cycle(4)")
         with pytest.raises(PreconditionError):
             equivalence_path(g, FROZEN_C4_LISTS, (1, 1, 1, 1), (1, 2, 3, 4))
+
+    def test_budget_corners(self):
+        # A search fails once it reaches one coloring past max_colorings; a
+        # frozen start reaches only itself, so it gives None at any budget.
+        g = fam("cycle(4)")
+        phi1, phi2 = enumerate_L_colorings(g, FROZEN_C4_LISTS)
+        for budget in (0, 1):
+            assert equivalence_path(g, FROZEN_C4_LISTS, phi1, phi2, budget) is None
+        lists = make_lists([{1, 2, 3}] * 4)
+        for budget in (0, 1):
+            with pytest.raises(BudgetError, match=f"exceeded {budget} colorings"):
+                equivalence_path(g, lists, (1, 2, 1, 2), (2, 1, 2, 1), budget)
+        # (3, 1, 3, 1) is the last of the 18 colorings of the one class reached.
+        report = mixing_classes(g, lists)
+        assert (report.class_count, report.total) == (1, 18)
+        with pytest.raises(BudgetError):
+            equivalence_path(g, lists, (1, 2, 1, 2), (3, 1, 3, 1), 17)
+        for budget in (18, 19, DEFAULT_MAX_COLORINGS):
+            moves = equivalence_path(g, lists, (1, 2, 1, 2), (3, 1, 3, 1), budget)
+            assert len(moves) == 3
+            assert apply_moves(g, lists, (1, 2, 1, 2), moves) == (3, 1, 3, 1)
 
 
 class TestSubsetMixes:
