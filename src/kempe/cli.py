@@ -289,6 +289,10 @@ def _cmd_lift(args) -> int:
     moves = kio.parse_moves(_read(args.moves))
     if (args.vertex is None) == (args.subgraph is None):
         raise ParameterError("give exactly one of --vertex or --subgraph")
+    if args.vertex is not None and args.target is not None:
+        raise ParameterError("--target needs --subgraph; a vertex lift takes --target-color")
+    if args.subgraph is not None and args.target_color is not None:
+        raise ParameterError("--target-color needs --vertex; a subgraph lift takes --target")
     if args.vertex is not None:
         _require_budget(args.max_colorings)  # unused by a vertex lift, but still checked
         result = lift_through_vertex(g, lists, args.vertex, start, moves,

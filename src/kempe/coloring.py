@@ -118,22 +118,41 @@ def enumerate_L_colorings(g: Graph, lists: ListAssignment,
     happens; exceeding it raises a budget error carrying the bound.
     """
     _require_bound(g, lists, max_colorings)
-    order = [tuple(sorted(s)) for s in lists]
-    back = [[w for w in g.adj[v] if w < v] for v in range(g.n)]
-    out: list[Coloring] = []
-    phi: list[int] = [0] * g.n
+    return list(_extensions(g, lists, (None,) * g.n, range(g.n)))
 
-    def descend(v: int) -> None:
-        if v == g.n:
-            out.append(tuple(phi))
+
+def _extensions(g: Graph, lists: ListAssignment, phi, vertices):
+    """Every proper L-extension of the partial coloring phi to the given vertices.
+
+    phi is None exactly at the vertices.  Extensions come in lexicographic
+    order: vertices in the given order, colors ascending.  A color is tested
+    against a bitmask, per color, of the vertices already carrying it.  The
+    search is lazy, so a caller that needs only the first extension, or the
+    first one with some property, stops there.  This is the one search behind
+    enumerate_L_colorings, has_L_coloring and find_versatile_extension.
+    """
+    phi = list(phi)
+    vertices = list(vertices)
+    order = [sorted(lists[v]) for v in vertices]
+    near = [sum(1 << w for w in g.adj[v]) for v in vertices]
+    masks = dict.fromkeys(set().union(*order), 0)
+    for v, c in enumerate(phi):
+        if c is not None:
+            masks[c] = masks.get(c, 0) | 1 << v
+
+    def descend(i: int):
+        if i == len(vertices):
+            yield tuple(phi)
             return
-        for c in order[v]:
-            if all(phi[w] != c for w in back[v]):
+        v = vertices[i]
+        for c in order[i]:
+            if not masks[c] & near[i]:
                 phi[v] = c
-                descend(v + 1)
+                masks[c] ^= 1 << v
+                yield from descend(i + 1)
+                masks[c] ^= 1 << v
 
-    descend(0)
-    return out
+    return descend(0)
 
 
 def _require_budget(max_colorings: int) -> None:
@@ -181,22 +200,7 @@ def count_L_colorings_reference(g: Graph, lists: ListAssignment, order=None) -> 
 def has_L_coloring(g: Graph, lists: ListAssignment) -> Coloring | None:
     """The lexicographically least L-coloring, or None."""
     _require_lists(g, lists)
-    order = [tuple(sorted(s)) for s in lists]
-    back = [[w for w in g.adj[v] if w < v] for v in range(g.n)]
-    phi: list[int] = [0] * g.n
-
-    def descend(v: int):
-        if v == g.n:
-            return tuple(phi)
-        for c in order[v]:
-            if all(phi[w] != c for w in back[v]):
-                phi[v] = c
-                found = descend(v + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return descend(0)
+    return next(_extensions(g, lists, (None,) * g.n, range(g.n)), None)
 
 
 def kempe_component(g: Graph, phi: Coloring, v: int, pair) -> frozenset[int]:

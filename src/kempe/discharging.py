@@ -10,6 +10,7 @@ and rules apply in sequence.  Everything is a Fraction; no floats anywhere.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,12 +56,10 @@ class ChargeLedger:
     transfers: list[Transfer] = field(default_factory=list)
 
     def charge(self, holder: Holder) -> Fraction:
-        tag, idx = holder
-        return {"v": self.vertex, "f": self.face, "pot": self.pot}[tag][idx]
+        return self._bucket(holder)[holder[1]]
 
     def total(self) -> Fraction:
-        return sum(self.vertex, Fraction(0)) + sum(self.face, Fraction(0)) \
-            + sum(self.pot, Fraction(0))
+        return sum(self.vertex + self.face + self.pot, Fraction(0))
 
     def move(self, source: Holder, sink: Holder, amount: Fraction, rule: str) -> None:
         if amount == 0:
@@ -91,17 +90,14 @@ class DischargeReport:
         for i, verts in enumerate(self.pots_vertices):
             lines.append(f"pot {i}: component vertices {list(verts)}")
         rules = [rule for rule, _ in self.rule_totals]
-        deltas: dict[Holder, dict[str, Fraction]] = {}
+        deltas: defaultdict[Holder, Counter] = defaultdict(Counter)
         for t in self.ledger.transfers:
-            deltas.setdefault(t.source, {}).setdefault(t.rule, Fraction(0))
             deltas[t.source][t.rule] -= t.amount
-            deltas.setdefault(t.sink, {}).setdefault(t.rule, Fraction(0))
             deltas[t.sink][t.rule] += t.amount
         for holder, charge in _all_holders(self.ledger):
             start = self.initial[holder]
             moves = " ".join(f"{rule}:{_signed(deltas[holder][rule])}" for rule in rules
-                             if holder in deltas and rule in deltas[holder]
-                             and deltas[holder][rule] != 0)
+                             if deltas[holder][rule] != 0)
             parts = [f"{_holder_name(holder)}: initial {start}"]
             if moves:
                 parts.append(moves)
@@ -148,10 +144,7 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
     # Per-vertex face incidences (with multiplicity: one per corner).
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for fi, face in enumerate(faces):
-        counts: dict[int, int] = {}
-        for v in face.vertices():
-            counts[v] = counts.get(v, 0) + 1
-        for v, c in counts.items():
+        for v, c in Counter(face.vertices()).items():
             incidence[v].append((fi, c))
     events = []
     for v in range(g.n):
@@ -177,12 +170,9 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
 
 
 def _all_holders(ledger: ChargeLedger):
-    for i, c in enumerate(ledger.vertex):
-        yield ("v", i), c
-    for i, c in enumerate(ledger.face):
-        yield ("f", i), c
-    for i, c in enumerate(ledger.pot):
-        yield ("pot", i), c
+    for tag, bucket in (("v", ledger.vertex), ("f", ledger.face), ("pot", ledger.pot)):
+        for i, c in enumerate(bucket):
+            yield (tag, i), c
 
 
 def _rules_lemma1(g: Graph, sub, pot_of, ledger, incidence, faces, close_rule) -> None:

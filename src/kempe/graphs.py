@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetError, ParameterError, PreconditionError
@@ -374,12 +375,7 @@ def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 12) -> list[int] | None:
         for w in range(g2.n):
             if used[w] or lab1[v] != lab2[w]:
                 continue
-            ok = True
-            for u in range(v):
-                if (u in g1.adj[v]) != (mapping[u] in g2.adj[w]):
-                    ok = False
-                    break
-            if not ok:
+            if any((u in g1.adj[v]) != (mapping[u] in g2.adj[w]) for u in range(v)):
                 continue
             mapping[v] = w
             used[w] = True
@@ -409,13 +405,8 @@ class Block:
 
     def is_odd_cycle(self) -> bool:
         k = len(self.vertices)
-        if k % 2 == 0 or len(self.edges) != k:
-            return False
-        deg = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return all(d == 2 for d in deg.values())
+        degrees = Counter(v for e in self.edges for v in e)
+        return k % 2 == 1 and len(self.edges) == k and all(degrees[v] == 2 for v in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -494,11 +485,8 @@ def is_gallai_tree(g: Graph) -> GallaiReport:
     if not is_connected(g):
         raise PreconditionError("Gallai-tree test requires a connected graph")
     blocks, cuts = block_decomposition(g)
-    offending = None
-    for i, b in enumerate(blocks):
-        if not (b.is_clique() or b.is_odd_cycle()):
-            offending = i
-            break
+    offending = next((i for i, b in enumerate(blocks)
+                      if not (b.is_clique() or b.is_odd_cycle())), None)
     return GallaiReport(offending is None, blocks, cuts, offending)
 
 

@@ -59,19 +59,9 @@ def graph_to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    bits = "".join("1" if g.has_edge(u, v) else "0" for v in range(1, n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -98,17 +88,10 @@ def graph_from_graph6(text: str) -> Graph:
         if not 0 <= val < 64:
             raise ParameterError(f"bad graph6 character {ch!r}")
         bits += [(val >> s6) & 1 for s6 in range(5, -1, -1)]
-    need = n * (n - 1) // 2
-    if len(bits) < need:
+    if len(bits) < n * (n - 1) // 2:
         raise ParameterError("graph6 body too short")
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return from_edges(n, edges)
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return from_edges(n, [e for e, bit in zip(pairs, bits) if bit])
 
 
 # ---------------------------------------------------------------------------

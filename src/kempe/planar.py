@@ -200,10 +200,7 @@ def extract_special_subgraph(pg: PlaneGraph, kind: str) -> SpecialSubgraph:
     if kind == "G3":
         qualifying = {v for v in range(g.n) if g.degree(v) == 3}
     elif kind == "G2":
-        on_3_face = set()
-        for face in trace_faces(pg):
-            if face.length == 3:
-                on_3_face.update(face.vertices())
+        on_3_face = {v for face in trace_faces(pg) if face.length == 3 for v in face.vertices()}
         qualifying = {v for v in range(g.n) if g.degree(v) == 2 and v in on_3_face}
     else:
         raise ParameterError(f"kind must be G3 or G2, got {kind!r}")
@@ -337,18 +334,13 @@ class ConfigWitness:
 
     def translated(self, vmap) -> "ConfigWitness":
         """Map dense subgraph ids back to host ids."""
-        t = lambda x: vmap[x]
-
         def tt(seq):
-            return tuple(t(x) for x in seq) if seq is not None else None
+            return tuple(vmap[x] for x in seq) if seq is not None else None
 
-        return ConfigWitness(
-            kind=self.kind,
-            edge=tt(self.edge), degree_sum=self.degree_sum, threshold=self.threshold,
-            cycle1=tt(self.cycle1), cycle2=tt(self.cycle2), path=tt(self.path),
-            hubs=tt(self.hubs),
-            paths=tuple(tt(p) for p in self.paths) if self.paths is not None else None,
-            centers=tt(self.centers), note=self.note)
+        return dataclasses.replace(
+            self, edge=tt(self.edge), cycle1=tt(self.cycle1), cycle2=tt(self.cycle2),
+            path=tt(self.path), hubs=tt(self.hubs), centers=tt(self.centers),
+            paths=tuple(tt(p) for p in self.paths) if self.paths is not None else None)
 
     def validate(self, g: Graph) -> None:
         """Re-check the witness structurally against the graph it names."""
@@ -608,33 +600,27 @@ def structural_audit(pg: PlaneGraph, variant: str,
     notes = []
 
     def run(kind, graph, translate):
+        """Record the kind's witness on graph, translated to the host, if there is one."""
         try:
             found = detect_configuration(graph, kind, threshold=threshold, budget=budget)
         except BudgetError as exc:
             notes.append(f"{kind}: {exc}")
-            return None
+            return
         if found is not None:
             found.validate(graph)
-            found = translate(found)
-        return found
+            witnesses.append(translate(found))
 
-    c1 = run("C1", g, lambda w: w)
-    if c1 is not None:
-        witnesses.append(c1)
-    barbell = run("C2-barbell", sub.graph, lambda w: w.translated(sub.vertices))
-    if barbell is not None:
-        witnesses.append(barbell)
+    def k24_note(w):
+        w = w.translated(sub.vertices)
+        two_side = all(g.degree(c) == 2 for c in w.centers)
+        return dataclasses.replace(w, note="centers are host 2-vertices" if two_side
+                                   else "centers include a non-2-vertex of the host")
+
+    run("C1", g, lambda w: w)
+    run("C2-barbell", sub.graph, lambda w: w.translated(sub.vertices))
     if variant == "lemma2":
-        k24 = run("C3-K24", sub.graph, lambda w: w.translated(sub.vertices))
-        if k24 is not None:
-            two_side = all(g.degree(c) == 2 for c in k24.centers)
-            k24 = dataclasses.replace(
-                k24, note="centers are host 2-vertices" if two_side
-                else "centers include a non-2-vertex of the host")
-            witnesses.append(k24)
-    theta = run("C3-theta", sub.graph, lambda w: w.translated(sub.vertices))
-    if theta is not None:
-        witnesses.append(theta)
+        run("C3-K24", sub.graph, k24_note)
+    run("C3-theta", sub.graph, lambda w: w.translated(sub.vertices))
     none_found = not witnesses
     complete = not notes
     serialized = pg.rotation_text() if none_found else None

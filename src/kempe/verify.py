@@ -67,21 +67,10 @@ class AssignmentStream:
 @functools.lru_cache(maxsize=None)
 def _perm_tables(cap: int) -> tuple[tuple[int, ...], ...]:
     """For each non-identity permutation of the cap colors, a mask-image table."""
-    tables = []
-    for perm in itertools.permutations(range(cap)):
-        if perm == tuple(range(cap)):
-            continue
-        table = [0] * (1 << cap)
-        for mask in range(1 << cap):
-            img = 0
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                img |= 1 << perm[i]
-            table[mask] = img
-        tables.append(tuple(table))
-    return tuple(tables)
+    identity = tuple(range(cap))
+    return tuple(tuple(sum(1 << perm[i] for i in range(cap) if mask >> i & 1)
+                       for mask in range(1 << cap))
+                 for perm in itertools.permutations(identity) if perm != identity)
 
 
 def _is_prefix_canonical(prefix: list[int], tables) -> bool:

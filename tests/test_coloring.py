@@ -80,6 +80,37 @@ class TestEnumeration:
             rng.shuffle(order)
             assert len(out) == count_L_colorings_reference(g, lists, order)
 
+    @staticmethod
+    def product_oracle(g, lists):
+        """Every proper L-coloring by brute force, in itertools.product order."""
+        return [phi for phi in itertools.product(*(sorted(s) for s in lists))
+                if all(phi[u] != phi[v] for u, v in g.edges())]
+
+    @staticmethod
+    def random_instances():
+        rng = random.Random(2110)
+        cases = [(from_edges(0, []), make_lists([])),
+                 (generate(parse_family("clique(3)")), make_lists([{1, 2}] * 3))]
+        while len(cases) < 80:
+            n = rng.randrange(1, 7)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            lists = [set(rng.sample(range(1, 6), rng.randrange(1, 4))) for _ in range(n)]
+            cases.append((from_edges(n, edges), make_lists(lists)))
+        return cases
+
+    def test_enumeration_equals_product_oracle(self):
+        empty = 0
+        for g, lists in self.random_instances():
+            expected = self.product_oracle(g, lists)
+            assert enumerate_L_colorings(g, lists) == expected
+            empty += not expected
+        assert 2 <= empty < 60  # both colorable and uncolorable instances occur
+
+    def test_first_coloring_equals_product_oracle(self):
+        for g, lists in self.random_instances():
+            expected = self.product_oracle(g, lists)
+            assert has_L_coloring(g, lists) == (expected[0] if expected else None)
+
     def test_budget_uses_product_bound(self):
         g = generate(parse_family("cycle(4)"))
         lists = make_lists([{1, 2, 3}] * 4)

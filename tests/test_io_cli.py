@@ -222,6 +222,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "max_colorings" in captured.err
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        ("--vertex", "--target", "target.col"), ("--subgraph", "--target-color", "2")])
+    def test_lift_rejects_the_other_modes_target(self, mode, flag, value, tmp_path, capsys):
+        # P2 with lists {1,2,3}/{1,2}: the lift succeeds, and would end at 3 2
+        # whatever the stray target asks for.
+        files = {"graph": "2 1\n0 1\n", "lists": "0: 1 2 3\n1: 1 2\n",
+                 "start": "0: 3\n1: 1\n", "moves": "1: 1 2\n", "target.col": "0: 2\n1: 2\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["lift", mode, "0"] + [arg for name in ("graph", "lists", "start", "moves")
+                                      for arg in (f"--{name}", str(tmp_path / name))]
+        assert main(argv) == 0
+        capsys.readouterr()
+        stray = str(tmp_path / value) if flag == "--target" else value
+        assert main(argv + [flag, stray]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
     def test_input_error_exit_code(self, capsys):
         assert main(["gen", "cycle(2)"]) == 3
         capsys.readouterr()

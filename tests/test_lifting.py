@@ -196,6 +196,82 @@ class TestVersatileExtension:
             assert sum(1 for p in old if p <= comp) <= 1
 
 
+def pair_components(g, phi, pair):
+    """Components of the subgraph colored from pair, uncolored vertices left out."""
+    todo = {x for x in range(g.n) if phi[x] in pair}
+    comps = []
+    while todo:
+        comp, stack = set(), [min(todo)]
+        while stack:
+            x = stack.pop()
+            if x not in comp:
+                comp.add(x)
+                stack.extend(y for y in g.adj[x] if phi[y] in pair)
+        todo -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def versatile_oracle(g, h, lists, partial, w, pair):
+    """The first product-order extension of partial to H that is proper and versatile.
+
+    Versatile: swapping pair on w's component stays inside the lists, and no
+    pair-colored component joins two of the partial coloring's components.
+    """
+    hs = sorted(h)
+    old = pair_components(g, partial, pair)
+    for colors in itertools.product(*(sorted(lists[x]) for x in hs)):
+        phi = list(partial)
+        for x, c in zip(hs, colors):
+            phi[x] = c
+        if any(phi[u] == phi[v] for u, v in g.edges()):
+            continue
+        new = pair_components(g, phi, pair)
+        (comp,) = [c for c in new if w in c]
+        a, b = pair
+        if any((b if phi[x] == a else a) not in lists[x] for x in comp):
+            continue
+        if all(sum(1 for p in old if p <= c) <= 1 for c in new):
+            return tuple(phi)
+    return None
+
+
+class TestVersatileExtensionOracle:
+    def test_first_versatile_extension_in_product_order(self):
+        rng = random.Random(606)
+        hosts = ["cycle(4)", "theta(1,2,2)", "complete_bipartite(2,3)", "cycle(6)"]
+        found = 0
+        while found < 40:
+            hg = fam(rng.choice(hosts))
+            extra = rng.randrange(1, 4)
+            n = hg.n + extra
+            edges = {(u + extra, v + extra) for u, v in hg.edges()}
+            for x in range(extra):
+                for y in rng.sample(range(n), 2):
+                    if y != x:
+                        edges.add((min(x, y), max(x, y)))
+            g = from_edges(n, sorted(edges))
+            if not is_connected(g):
+                continue
+            h = frozenset(range(extra, n))
+            lists = make_lists([rng.sample(range(1, 6), min(5, g.degree(x) + rng.randrange(2)))
+                                if x in h else rng.sample(range(1, 5), rng.randrange(2, 4))
+                                for x in range(n)])
+            outside = [phi for phi in itertools.product(*(sorted(lists[x]) for x in range(extra)))
+                       if all(phi[u] != phi[v] for u, v in g.edges() if v < extra)]
+            if not outside:
+                continue
+            partial = rng.choice(outside) + (None,) * hg.n
+            w = rng.randrange(extra)
+            pair = tuple(sorted((partial[w], rng.choice(sorted(lists[w] - {partial[w]})))))
+            try:
+                got = find_versatile_extension(g, h, lists, partial, w, pair)
+            except PreconditionError:
+                continue  # w is not versatile in g-H, or H fails a hypothesis
+            assert got == versatile_oracle(g, h, lists, partial, w, pair)
+            found += 1
+
+
 class TestLiftThroughSubgraph:
     def host_with_chorded_cycle(self, tight=True):
         # H = C6 with an antipodal chord (theta(1,3,3) shape) on 2..7,
