@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from collections import Counter
 
 from . import io as kio
 from .coloring import DEFAULT_MAX_COLORINGS, _require_budget, check_coloring, enumerate_L_colorings
@@ -19,6 +20,7 @@ from .errors import BudgetError, KempeError, ParameterError, PreconditionError
 from .graphs import Graph, generate, is_isomorphic, line_graph, parse_family
 from .planar import detect_configuration, extract_special_subgraph, structural_audit, trace_faces
 from .reconfig import (
+    MixingReport,
     build_reconfig_graph,
     equivalence_path,
     lift_through_subgraph,
@@ -244,17 +246,21 @@ def _cmd_colorings(args) -> int:
 def _cmd_mix(args) -> int:
     g = _load_graph(args)
     lists = kio.parse_lists(_read(args.lists), g)
-    report = mixing_classes(g, lists, args.max_colorings)
+    if args.dot:
+        graph = build_reconfig_graph(g, lists, args.max_colorings)
+        report = MixingReport.from_classes(graph.colorings, graph.component_ids)
+    else:
+        report = mixing_classes(g, lists, args.max_colorings)
+    sizes = Counter(report.component_ids)
     lines = [f"{report.total} colorings, {report.class_count} classes, "
              f"{len(report.frozen)} frozen"]
     for i, rep in enumerate(report.representatives):
-        size = sum(1 for c in report.component_ids if c == i)
-        lines.append(f"class {i} size {size} representative "
+        lines.append(f"class {i} size {sizes[i]} representative "
                      + " ".join(str(c) for c in rep))
     for phi in report.frozen:
         lines.append("frozen " + " ".join(str(c) for c in phi))
     if args.dot:
-        lines.append(kio.reconfig_to_dot(build_reconfig_graph(g, lists, args.max_colorings)))
+        lines.append(kio.reconfig_to_dot(graph))
     _emit(args, lines)
     return 0 if report.class_count <= 1 else 1
 

@@ -212,8 +212,8 @@ class ReconfigSpace:
                     frontier.append(new)
 
 
-def _classes(space: ReconfigSpace) -> list[int]:
-    """The class number of every L-coloring, in space.colorings order.
+def _classes(space: ReconfigSpace):
+    """Yield the mask tuple and class number of every L-coloring, in space.colorings order.
 
     Classes are numbered 0, 1, ... in the order of their first colorings.
     Each is flooded into one dict from its first coloring, then the
@@ -221,7 +221,6 @@ def _classes(space: ReconfigSpace) -> list[int]:
     converted to its mask tuple once.
     """
     seen: dict = {}
-    ids = []
     number = 0
     for phi in space.colorings:
         start = space.to_masks(phi)
@@ -233,8 +232,7 @@ def _classes(space: ReconfigSpace) -> list[int]:
                 if masks is start:
                     break
             number += 1
-        ids.append(seen[start])
-    return ids
+        yield start, seen[start]
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +254,18 @@ class MixingReport:
     def is_L_swappable(self) -> bool:
         return self.class_count <= 1
 
+    @classmethod
+    def from_classes(cls, colorings, component_ids) -> "MixingReport":
+        """The report of colorings whose class numbers, in first-coloring order, are given."""
+        ids = tuple(component_ids)
+        sizes = Counter(ids)
+        reps = []
+        for phi, c in zip(colorings, ids):
+            if c == len(reps):
+                reps.append(phi)
+        frozen = tuple(phi for phi, c in zip(colorings, ids) if sizes[c] == 1)
+        return cls(len(colorings), len(sizes), ids, tuple(reps), frozen, tuple(colorings))
+
 
 def mixing_classes(g: Graph, lists: ListAssignment,
                    max_colorings: int = DEFAULT_MAX_COLORINGS) -> MixingReport:
@@ -266,16 +276,7 @@ def mixing_classes(g: Graph, lists: ListAssignment,
     exactly the classes of one coloring (a swap always changes the coloring).
     """
     space = ReconfigSpace(g, lists, max_colorings)
-    ids = tuple(_classes(space))
-    colorings = space.colorings
-    sizes = Counter(ids)
-    reps = []
-    for phi, c in zip(colorings, ids):
-        if c == len(reps):
-            reps.append(phi)
-    frozen = tuple(phi for phi, c in zip(colorings, ids) if sizes[c] == 1)
-    return MixingReport(len(colorings), len(sizes), ids, tuple(reps), frozen,
-                        tuple(colorings))
+    return MixingReport.from_classes(space.colorings, (c for _, c in _classes(space)))
 
 
 def is_L_swappable(g: Graph, lists: ListAssignment,
@@ -303,14 +304,19 @@ class ReconfigGraph:
 
 def build_reconfig_graph(g: Graph, lists: ListAssignment,
                          max_colorings: int = DEFAULT_MAX_COLORINGS) -> ReconfigGraph:
-    """Materialize nodes and normalized edges; meant for small instances."""
+    """Materialize nodes and normalized edges; meant for small instances.
+
+    Its colorings and component_ids make the MixingReport of the same space.
+    """
     space = ReconfigSpace(g, lists, max_colorings)
-    ids = tuple(_classes(space))
-    index = {space.to_masks(phi): a for a, phi in enumerate(space.colorings)}
+    index, ids = {}, []
+    for a, (masks, c) in enumerate(_classes(space)):
+        index[masks] = a
+        ids.append(c)
     edges = sorted((a, index[new], space.move_of(i, j, comp))
                    for masks, a in index.items()
                    for i, j, comp, new in space.neighbors(masks) if a < index[new])
-    return ReconfigGraph(tuple(space.colorings), tuple(edges), ids)
+    return ReconfigGraph(tuple(space.colorings), tuple(edges), tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +498,36 @@ def _restrict(phi: Coloring, absent: frozenset[int]):
     return tuple(None if v in absent else phi[v] for v in range(len(phi)))
 
 
+def _lift(g: Graph, lists: ListAssignment, start, moves, absent: frozenset[int],
+          wider: frozenset[int], prepare):
+    """Lift moves on g-wider to g-absent (start is a coloring of g-absent).
+
+    Per input step: check the move on the restriction to g-wider; let
+    prepare(psi, mv) return the swaps inside wider-absent that make the step
+    liftable and the coloring they reach; replay the move on g-absent,
+    anchored at the least vertex of its component; check that the lifted
+    step restricts to the input step.  Returns the lifted moves and the final
+    coloring of g-absent as a partial tuple.
+    """
+    psi = start
+    out: list[SwapMove] = []
+    for step, mv in enumerate(moves):
+        outcome = classify_swap_partial(g, lists, _restrict(psi, wider), mv, wider)
+        if not outcome.valid:
+            raise PreconditionError(f"input move {step} ({mv}) is not L-valid on the "
+                                    f"reduced graph: {outcome.reason}")
+        prepared, psi = prepare(psi, mv)
+        out.extend(prepared)
+        replay = classify_swap_partial(g, lists, psi, mv, absent)
+        if not replay.valid:
+            raise KempeError(f"internal: lifted replay of step {step} failed: {replay.reason}")
+        psi = replay.coloring
+        out.append(SwapMove(min(replay.component), mv.colors))
+        if _restrict(psi, wider) != outcome.coloring:
+            raise KempeError(f"internal: lifted step {step} does not restrict correctly")
+    return out, psi
+
+
 def _lift_vertex_core(g: Graph, lists: ListAssignment, v: int, start, moves,
                       absent: frozenset[int]):
     """Lift moves on g-absent-v to g-absent (start is a coloring of g-absent).
@@ -499,50 +535,31 @@ def _lift_vertex_core(g: Graph, lists: ListAssignment, v: int, start, moves,
     Each input swap replays directly when it cannot disturb v; otherwise v is
     first parked on a color unused on its closed neighborhood (one exists
     because |L(v)| exceeds v's degree in g-absent), which is itself a
-    single-vertex Kempe swap.  Returns the lifted moves and final coloring of
-    g-absent as a partial tuple.
+    single-vertex Kempe swap.
     """
-    live_degree = sum(1 for w in g.adj[v] if w not in absent)
-    if len(lists[v]) <= live_degree:
-        raise PreconditionError(f"need |L({v})| > d({v}) = {live_degree}")
-    wider = absent | {v}
-    psi = start
-    out: list[SwapMove] = []
-    for step, mv in enumerate(moves):
-        restriction = _restrict(psi, wider)
-        outcome = classify_swap_partial(g, lists, restriction, mv, wider)
-        if not outcome.valid:
-            raise PreconditionError(f"input move {step} ({mv}) is not L-valid on the "
-                                    f"reduced graph: {outcome.reason}")
+    live = [w for w in g.adj[v] if w not in absent]
+    if len(lists[v]) <= len(live):
+        raise PreconditionError(f"need |L({v})| > d({v}) = {len(live)}")
+
+    def park(psi, mv):
         a, b = mv.colors
-        comp = partial_component(g, psi, mv.anchor, (a, b), absent)
-        replay_safe = psi[v] not in (a, b) or v not in comp
-        if not replay_safe:
-            pair_neighbors = sum(1 for w in g.adj[v]
-                                 if w not in absent and psi[w] in (a, b))
-            replay_safe = a in lists[v] and b in lists[v] and pair_neighbors <= 1
-        if not replay_safe:
-            used = {psi[w] for w in g.adj[v] if w not in absent} | {psi[v]}
-            gamma = min(c for c in lists[v] if c not in used)
-            # v sits on an alpha,beta-path, so the other pair color is used
-            # on N[v]; gamma is therefore outside the pair.
-            if gamma in (a, b):
-                raise KempeError("internal: parking color collides with the swap pair")
-            park = SwapMove(v, (psi[v], gamma))
-            parked = classify_swap_partial(g, lists, psi, park, absent)
-            if not parked.valid or parked.component != frozenset({v}):
-                raise KempeError("internal: parking recolor is not a singleton Kempe swap")
-            psi = parked.coloring
-            out.append(park)
-        replay = classify_swap_partial(g, lists, psi, mv, absent)
-        if not replay.valid:
-            raise KempeError(f"internal: lifted replay of step {step} failed: {replay.reason}")
-        norm = SwapMove(min(replay.component), mv.colors)
-        psi = replay.coloring
-        out.append(norm)
-        if _restrict(psi, wider) != outcome.coloring:
-            raise KempeError(f"internal: lifted step {step} does not restrict correctly")
-    return out, psi
+        if psi[v] not in (a, b) or v not in partial_component(g, psi, mv.anchor, (a, b), absent):
+            return [], psi
+        if a in lists[v] and b in lists[v] and sum(1 for w in live if psi[w] in (a, b)) <= 1:
+            return [], psi
+        used = {psi[w] for w in live} | {psi[v]}
+        gamma = min(c for c in lists[v] if c not in used)
+        # v sits on an alpha,beta-path, so the other pair color is used on
+        # N[v]; gamma is therefore outside the pair.
+        if gamma in (a, b):
+            raise KempeError("internal: parking color collides with the swap pair")
+        move = SwapMove(v, (psi[v], gamma))
+        parked = classify_swap_partial(g, lists, psi, move, absent)
+        if not parked.valid or parked.component != frozenset({v}):
+            raise KempeError("internal: parking recolor is not a singleton Kempe swap")
+        return [move], parked.coloring
+
+    return _lift(g, lists, start, moves, absent, absent | {v}, park)
 
 
 def lift_through_vertex(g: Graph, lists: ListAssignment, v: int, start: Coloring,
@@ -653,8 +670,7 @@ def _hypothesis_verdict(n: int, adj, cap: int, max_colorings: int):
 
 def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Coloring,
                           moves, target: Coloring | None = None,
-                          verify_hypotheses: bool = True, verify_rest: bool = False,
-                          cap: int = 4,
+                          verify_hypotheses: bool = True, cap: int = 4,
                           max_colorings: int = DEFAULT_MAX_COLORINGS) -> LiftResult:
     """Lift an L-valid swap sequence on g-H to one on g.
 
@@ -668,8 +684,7 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
     the reduced sizes f'(x) = |L(x)| - (d_G(x) - d_H(x)) must be at least
     d_H(x); with slack somewhere, an elimination order certifies H; otherwise
     H must not be a Gallai tree and a brute-force degree-swappability verdict
-    at the given cap must not find a counterexample.  verify_rest additionally
-    checks that g-H is swappable under the restriction of this very L.
+    at the given cap must not find a counterexample.
     """
     _require_budget(max_colorings)
     h = frozenset(h_vertices)
@@ -698,12 +713,6 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
     chk = check_coloring(g, lists, start)
     if not chk:
         raise PreconditionError(f"start is not an L-coloring: {chk}")
-    if verify_rest:
-        rest = sorted(set(range(g.n)) - h)
-        sub_r, vmap_r = induced_subgraph(g, rest)
-        rest_lists = tuple(lists[x] for x in vmap_r)
-        if not is_L_swappable(sub_r, rest_lists, max_colorings):
-            raise PreconditionError("g-H is not swappable under the restricted assignment")
 
     expected = _replay_partial(g, lists, _restrict(start, h), moves, h)
     if has_slack:
@@ -719,27 +728,12 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
         psi = _replay(g, lists, start, current, "slack lift produced invalid move {mv}")
         out = current
     else:
-        psi = start
-        out = []
-        for step, mv in enumerate(moves):
-            restriction = _restrict(psi, h)
-            outcome = classify_swap_partial(g, lists, restriction, mv, h)
-            if not outcome.valid:
-                raise PreconditionError(f"input move {step} ({mv}) is not L-valid on g-H: "
-                                        f"{outcome.reason}")
-            extension = find_versatile_extension(g, h, lists, restriction,
+        def extend(psi, mv):
+            extension = find_versatile_extension(g, h, lists, _restrict(psi, h),
                                                  mv.anchor, mv.colors)
-            bridge, psi = _bridge_inside(g, h, vmap_h, lists, psi, extension, max_colorings)
-            out.extend(bridge)
-            norm = normalize_move(g, psi, mv)
-            replay = classify_swap(g, lists, psi, norm)
-            if not replay.valid:
-                raise KempeError(f"internal: lifted replay of step {step} failed: "
-                                 f"{replay.reason}")
-            psi = replay.coloring
-            out.append(norm)
-            if _restrict(psi, h) != outcome.coloring:
-                raise KempeError(f"internal: lifted step {step} does not restrict correctly")
+            return _bridge_inside(g, h, sub_h, vmap_h, lists, psi, extension, max_colorings)
+
+        out, psi = _lift(g, lists, start, moves, frozenset(), h, extend)
     if _restrict(psi, h) != expected:
         raise KempeError("internal: lifted sequence does not realize the input trajectory")
     if target is not None:
@@ -748,7 +742,7 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
             raise ParameterError(f"target is not an L-coloring: {tchk}")
         if _restrict(target, h) != _restrict(psi, h):
             raise ParameterError("target disagrees with the lifted sequence outside H")
-        bridge, psi = _bridge_inside(g, h, vmap_h, lists, psi, target, max_colorings)
+        bridge, psi = _bridge_inside(g, h, sub_h, vmap_h, lists, psi, target, max_colorings)
         out.extend(bridge)
     return LiftResult(tuple(out), psi)
 
@@ -765,12 +759,11 @@ def _replay_partial(g: Graph, lists, partial, moves, absent: frozenset[int]):
     return phi
 
 
-def _bridge_inside(g: Graph, h: frozenset[int], vmap_h, lists, psi, phi_goal,
+def _bridge_inside(g: Graph, h: frozenset[int], sub_h: Graph, vmap_h, lists, psi, phi_goal,
                    max_colorings):
-    """Kempe swaps confined to H taking psi to phi_goal (equal outside H)."""
+    """Kempe swaps confined to H, induced as sub_h, taking psi to phi_goal (equal outside H)."""
     if psi == phi_goal:
         return [], psi
-    sub_h, _ = induced_subgraph(g, h)
     reduced = tuple(
         frozenset(lists[x]) - {psi[y] for y in g.adj[x] if y not in h}
         for x in vmap_h)

@@ -246,6 +246,70 @@ class TestCli:
         assert main(["mix", "--graph", "/nonexistent", "--lists", "/nonexistent"]) == 3
 
 
+def bfs_classes(rg):
+    """Classes of the explicit reconfiguration graph, in order of their first coloring."""
+    adj = {a: [] for a in range(len(rg.colorings))}
+    for a, b, _ in rg.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    classes, seen = [], set()
+    for a in range(len(rg.colorings)):
+        if a not in seen:
+            seen.add(a)
+            queue, members = [a], []
+            while queue:
+                x = queue.pop(0)
+                members.append(x)
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            classes.append(sorted(members))
+    return classes
+
+
+class TestMixReport:
+    CASES = {
+        "c4-one-class": (4, [(0, 1), (1, 2), (2, 3), (3, 0)], [{1, 2, 3}] * 4),
+        "c4-frozen": (4, [(0, 1), (1, 2), (2, 3), (3, 0)], [{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
+        "prism-two-classes": (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                  (0, 3), (1, 4), (2, 5)], [{1, 2, 3}] * 6),
+        "sizes-1-2-4": (6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5),
+                            (4, 5)],
+                        [{2, 3}, {2, 4}, {1, 3, 4}, {1, 2}, {2, 3, 4}, {2, 3}]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_mix_lines_match_bfs_and_dot_follows_the_report(self, case, tmp_path, capsys):
+        n, edges, sets = self.CASES[case]
+        g, lists = from_edges(n, edges), make_lists(sets)
+        graph_file, lists_file = tmp_path / "g.el", tmp_path / "g.lists"
+        graph_file.write_text(kio.write_edge_list(g))
+        lists_file.write_text(kio.write_lists(lists))
+        argv = ["mix", "--graph", str(graph_file), "--lists", str(lists_file)]
+        code = main(argv)
+        report = capsys.readouterr().out
+        assert main(argv + ["--dot"]) == code
+        with_dot = capsys.readouterr().out
+        rg = build_reconfig_graph(g, lists)
+        assert with_dot.split("\n", 1)[1] == report.split("\n", 1)[1] + kio.reconfig_to_dot(rg)
+
+        classes = bfs_classes(rg)
+        frozen = [rg.colorings[c[0]] for c in classes if len(c) == 1]
+
+        def text(phi):
+            return " ".join(str(c) for c in phi)
+
+        expected = [f"{len(rg.colorings)} colorings, {len(classes)} classes, {len(frozen)} frozen"]
+        expected += [f"class {i} size {len(c)} representative {text(rg.colorings[c[0]])}"
+                     for i, c in enumerate(classes)]
+        expected += [f"frozen {text(phi)}" for phi in frozen]
+        assert report.splitlines()[1:] == expected
+        sizes = [int(line.split()[3]) for line in report.splitlines() if line.startswith("class ")]
+        assert sum(sizes) == len(rg.colorings)
+        assert code == (0 if len(classes) <= 1 else 1)
+
+
 class TestCounterexampleReplay:
     def test_verify_counterexample_file_replays_with_mix(self, tmp_path, capsys):
         # A counterexample assignment written as a lists file must replay to

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempe.coloring import (
     SwapMove,
@@ -13,6 +15,7 @@ from kempe.coloring import (
     check_coloring,
     classify_swap_partial,
     enumerate_L_colorings,
+    kempe_component,
     make_lists,
 )
 from kempe.errors import ParameterError, PreconditionError
@@ -361,3 +364,80 @@ class TestLiftThroughSubgraph:
         small[2] = frozenset({1, 2})  # d_g(2) = 4, so f'(2) < d_H(2)
         with pytest.raises(PreconditionError, match="f'"):
             lift_through_subgraph(g, h, make_lists(small), (1,) * 8, [])
+
+
+# H shapes on vertices 0..k-1.  The first three are not Gallai trees and pass
+# the degree-swappability verdict at cap 4, so they may be tight (f' = d_H);
+# the others only take part with slack.
+TIGHT_SHAPES = {
+    "theta(1,3,3)": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]),
+    "K_{2,3}": (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+    "wheel W4": (5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]),
+}
+SLACK_SHAPES = dict(TIGHT_SHAPES, **{
+    "K1": (1, []),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "K4": (4, list(itertools.combinations(range(4), 2))),
+})
+PALETTE = range(1, 9)  # the largest list, d_G(x) + 1 at the W4 hub, has 8 colors
+
+
+@st.composite
+def subgraph_lifts(draw, tight):
+    """A connected host, an induced H in it, an L-coloring and a walk on g-H.
+
+    H is on the last k vertices.  Each outside vertex is joined to an earlier
+    vertex, so the host is connected.  The start coloring is drawn first, each
+    vertex taking a color that its earlier neighbors do not use, and every
+    list holds its vertex's start color.  In H, |L(x)| = d_G(x) when tight and
+    d_G(x) or d_G(x) + 1 with at least one + 1 otherwise.
+    """
+    shapes = TIGHT_SHAPES if tight else SLACK_SHAPES
+    k, h_edges = shapes[draw(st.sampled_from(sorted(shapes)))]
+    extra = draw(st.integers(1, 3))
+    n = extra + k
+    h = frozenset(range(extra, n))
+    edges = {(a + extra, b + extra) for a, b in h_edges}
+    edges.add((0, draw(st.sampled_from(sorted(h)))))
+    for x in range(1, extra):
+        edges.add((draw(st.integers(0, x - 1)), x))
+    for x in range(extra):
+        for y in range(x + 1, n):
+            if draw(st.booleans()):
+                edges.add((x, y))
+    g = from_edges(n, sorted(edges))
+    start = []
+    for x in range(n):
+        used = {start[y] for y in g.adj[x] if y < x}
+        start.append(draw(st.sampled_from([c for c in PALETTE if c not in used])))
+    bumped = set() if tight else {draw(st.sampled_from(sorted(h)))}
+    lists = []
+    for x in range(n):
+        if x in h:
+            size = g.degree(x) + (x in bumped or (not tight and draw(st.booleans())))
+        else:
+            size = draw(st.integers(2, 4))
+        others = draw(st.sets(st.sampled_from([c for c in PALETTE if c != start[x]]),
+                              min_size=size - 1, max_size=size - 1))
+        lists.append(others | {start[x]})
+    lists = make_lists(lists)
+    start = tuple(start)
+    moves, end = random_walk_moves(g, lists, start, h, draw(st.integers(1, 4)),
+                                   draw(st.randoms(use_true_random=False)))
+    return g, h, lists, start, moves, end
+
+
+class TestLiftedSequencesReplay:
+    @pytest.mark.parametrize("tight", [True, False], ids=["tight", "slack"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_lifted_moves_replay_to_final_and_are_normalized(self, tight, data):
+        g, h, lists, start, moves, end = data.draw(subgraph_lifts(tight))
+        result = lift_through_subgraph(g, h, lists, start, moves)
+        assert apply_moves(g, lists, start, result.moves) == result.final
+        assert restricted(result.final, h) == end
+        phi = start
+        for mv in result.moves:
+            assert mv.anchor == min(kempe_component(g, phi, mv.anchor, mv.colors))
+            phi = apply_moves(g, lists, phi, [mv])
