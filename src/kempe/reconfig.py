@@ -5,16 +5,17 @@ connected components; a graph is L-swappable iff there is at most one class.
 
 ReconfigSpace holds this graph for one (g, L) pair and has one search, flood,
 over one class: mixing classes, swappability, the explicit graph and shortest
-paths are each a few lines over it.  A coloring is encoded as per-color vertex
-bitmasks, so checking list validity of a swap is a handful of integer
-operations, and the two-colored components are looked up in a memo shared by
-every space on the same graph.  Public results are always plain colorings
-(tuples of colors) in the deterministic order produced by enumerate_L_colorings.
+paths are each a few lines over it.  It holds one int per coloring, the
+per-color vertex bitmasks side by side, so a swap is one XOR and its list
+validity a few integer operations; two-colored components come from a memo
+shared by every space on the same graph.  Public results are always plain
+colorings in the deterministic order produced by enumerate_L_colorings.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .coloring import (
     ListAssignment,
     SwapMove,
     _check,
+    _classify,
     _component,
     _extensions,
     _require_bound,
@@ -33,7 +35,6 @@ from .coloring import (
     classify_swap_partial,
     color_universe,
     enumerate_L_colorings,
-    normalize_move,
     partial_component,
 )
 from .errors import BudgetError, KempeError, ParameterError, PreconditionError
@@ -77,12 +78,13 @@ def _components(adjm, s: int) -> tuple[int, ...]:
 
 
 class ReconfigSpace:
-    """The reconfiguration graph of one (g, L) pair.
+    """The reconfiguration graph of one (g, L) pair, with one int per coloring.
 
-    A coloring is encoded as its mask tuple: one vertex bitmask per color of
-    the list universe.  The color tables are built at once and the colorings
-    when first used, so a search that never needs the whole space never
-    enumerates it.
+    A key holds the vertex mask of color index i at bits [i*n, (i+1)*n).  A
+    swap of a component between color indices i < j flips it in both
+    segments: one XOR with the component times the pair's spread.  The color
+    tables are built at once and the colorings when first used, so a search
+    that never needs the whole space never enumerates it.
     """
 
     def __init__(self, g: Graph, lists: ListAssignment,
@@ -94,26 +96,27 @@ class ReconfigSpace:
         self.universe = color_universe(lists)
         self.cindex = {c: i for i, c in enumerate(self.universe)}
         self.k = len(self.universe)
-        self.adjm = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-        self.okm = [0] * self.k
-        for v, s in enumerate(lists):
-            for c in s:
-                self.okm[self.cindex[c]] |= 1 << v
-        self.memo = _component_memo(g.n, g.adj)
+        self.n = n = g.n
+        self.adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+        self.bits = [{c: 1 << self.cindex[c] * n + v for c in s} for v, s in enumerate(lists)]
+        # allowed is the key of all (vertex, color) pairs that L allows, so the
+        # low n bits of ~(allowed >> i*n) are the vertices whose lists lack i.
+        allowed = sum(sum(b.values()) for b in self.bits)
+        self.pairs = [(i, j, ~(allowed >> i * n), ~(allowed >> j * n), 1 << i * n | 1 << j * n)
+                      for i, j in itertools.combinations(range(self.k), 2)]
+        self.memo = _component_memo(n, g.adj)
 
     @functools.cached_property
     def colorings(self) -> list[Coloring]:
         """All L-colorings, in enumerate_L_colorings order."""
         return enumerate_L_colorings(self.g, self.lists, self.max_colorings)
 
-    def to_masks(self, phi: Coloring) -> tuple[int, ...]:
-        masks = [0] * self.k
-        for v, c in enumerate(phi):
-            masks[self.cindex[c]] |= 1 << v
-        return tuple(masks)
+    def key_of(self, phi: Coloring) -> int:
+        """The key of the L-coloring phi."""
+        return sum([b[c] for b, c in zip(self.bits, phi)])
 
-    def count_colorings(self) -> tuple[int, tuple[int, ...] | None]:
-        """The number of L-colorings and the mask tuple of the first, listing none.
+    def count_colorings(self) -> tuple[int, int | None]:
+        """The number of L-colorings and the key of the first, listing none.
 
         The first is the first in enumerate_L_colorings order, None if there
         is no L-coloring.  The same budget check as enumerate_L_colorings
@@ -126,9 +129,8 @@ class ReconfigSpace:
         and k4k2 lemmas at cap 4, against 0.21 s for counting the colorings
         that generator yields (Python 3.11, one core of a 2-core x86-64 box).
         """
-        g = self.g
+        g, n = self.g, self.n
         _require_bound(g, self.lists, self.max_colorings)
-        n = g.n
         order = [[self.cindex[c] for c in sorted(s)] for s in self.lists]
         back = [sum(1 << w for w in g.adj[v] if w < v) for v in range(n)]
         masks = [0] * self.k
@@ -137,7 +139,7 @@ class ReconfigSpace:
         def descend(v: int) -> int:
             if v == n:
                 if not first:
-                    first.append(tuple(masks))
+                    first.append(sum(m << i * n for i, m in enumerate(masks)))
                 return 1
             total = 0
             bit = 1 << v
@@ -151,48 +153,40 @@ class ReconfigSpace:
         total = descend(0)
         return total, (first[0] if first else None)
 
-    def neighbors(self, masks):
-        """Yield (i, j, comp, new_masks) for every L-valid swap from masks."""
-        adjm = self.adjm
-        okm = self.okm
-        memo = self.memo
-        for i in range(self.k):
-            mi = masks[i]
-            for j in range(i + 1, self.k):
-                mj = masks[j]
-                s = mi | mj
-                comps = memo.get(s)
-                if comps is None:
-                    comps = memo[s] = _components(adjm, s)
-                for comp in comps:
-                    to_j = comp & mi
-                    to_i = comp & mj
-                    if to_j & ~okm[j] or to_i & ~okm[i]:
-                        continue
-                    new = list(masks)
-                    new[i] = (mi & ~to_j) | to_i
-                    new[j] = (mj & ~to_i) | to_j
-                    yield i, j, comp, tuple(new)
+    def neighbors(self, key: int):
+        """Yield the key of every coloring one L-valid swap away, by color pair, then component."""
+        n, memo = self.n, self.memo
+        full = (1 << n) - 1
+        masks = [key >> i * n & full for i in range(self.k)]
+        for i, j, not_i, not_j, spread in self.pairs:
+            mi, mj = masks[i], masks[j]
+            comps = memo.get(mi | mj)
+            if comps is None:
+                comps = memo[mi | mj] = _components(self.adjm, mi | mj)
+            bad = mi & not_j | mj & not_i
+            for comp in comps:
+                if not comp & bad:
+                    yield key ^ comp * spread
 
-    def move_of(self, i: int, j: int, comp: int) -> SwapMove:
+    def move_between(self, key: int, new: int) -> SwapMove:
+        """The normalized swap taking key to its neighbor new."""
+        n, d = self.n, key ^ new
+        i = ((d & -d).bit_length() - 1) // n
+        j = (d.bit_length() - 1) // n
+        comp = d >> i * n & (1 << n) - 1
         anchor = (comp & -comp).bit_length() - 1
         return SwapMove(anchor, (self.universe[i], self.universe[j]))
 
-    def move_between(self, masks, new) -> SwapMove:
-        """The normalized swap taking masks to its neighbor new."""
-        i, j = (c for c in range(self.k) if masks[c] != new[c])
-        return self.move_of(i, j, masks[i] ^ new[i])
-
     def is_frozen(self, phi: Coloring) -> bool:
         """Whether the L-coloring phi admits no L-valid swap."""
-        return next(self.neighbors(self.to_masks(phi)), None) is None
+        return next(self.neighbors(self.key_of(phi)), None) is None
 
-    def flood(self, start, seen: dict, goal=None, stop_at: int = 0) -> None:
-        """Search the class of start, a mask tuple already in seen.
+    def flood(self, start: int, seen: dict, goal: int | None = None, stop_at: int = 0) -> None:
+        """Search the class of start, a key already in seen.
 
         Every coloring reached for the first time is entered in seen, mapped
-        to the mask tuple it was reached from.  Returns once the class is
-        exhausted, goal is reached, or seen holds stop_at colorings.
+        to the key it was reached from.  Returns once the class is exhausted,
+        goal is reached, or seen holds stop_at colorings.
 
         With a goal the search is breadth-first, so the links in seen give a
         shortest path.  Without one it is depth-first, which reaches a whole
@@ -203,33 +197,35 @@ class ReconfigSpace:
         frontier = deque([start])
         take = frontier.pop if goal is None else frontier.popleft
         while frontier:
-            masks = take()
-            for _, _, _, new in neighbors(masks):
+            key = take()
+            for new in neighbors(key):
                 if new not in seen:
-                    seen[new] = masks
+                    seen[new] = key
                     if new == goal or len(seen) == stop_at:
                         return
                     frontier.append(new)
 
 
 def _classes(space: ReconfigSpace):
-    """Yield the mask tuple and class number of every L-coloring, in space.colorings order.
+    """Yield the key and class number of every L-coloring, in space.colorings order.
 
     Classes are numbered 0, 1, ... in the order of their first colorings.
     Each is flooded into one dict from its first coloring, then the
     colorings that flood added are renumbered in place; every coloring is
-    converted to its mask tuple once.
+    converted to its key once.  A flood stops once the dict holds every
+    coloring: on K4xK2 with lists {1..6}, one class, that halves it.
     """
     seen: dict = {}
     number = 0
+    total = len(space.colorings)
     for phi in space.colorings:
-        start = space.to_masks(phi)
+        start = space.key_of(phi)
         if start not in seen:
             seen[start] = None
-            space.flood(start, seen)
-            for masks in reversed(seen):
-                seen[masks] = number
-                if masks is start:
+            space.flood(start, seen, stop_at=total)
+            for key in reversed(seen):
+                seen[key] = number
+                if key == start:
                     break
             number += 1
         yield start, seen[start]
@@ -310,12 +306,11 @@ def build_reconfig_graph(g: Graph, lists: ListAssignment,
     """
     space = ReconfigSpace(g, lists, max_colorings)
     index, ids = {}, []
-    for a, (masks, c) in enumerate(_classes(space)):
-        index[masks] = a
+    for a, (key, c) in enumerate(_classes(space)):
+        index[key] = a
         ids.append(c)
-    edges = sorted((a, index[new], space.move_of(i, j, comp))
-                   for masks, a in index.items()
-                   for i, j, comp, new in space.neighbors(masks) if a < index[new])
+    edges = sorted((a, index[new], space.move_between(key, new))
+                   for key, a in index.items() for new in space.neighbors(key) if a < index[new])
     return ReconfigGraph(tuple(space.colorings), tuple(edges), tuple(ids))
 
 
@@ -339,8 +334,8 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
     if phi1 == phi2:
         return []
     space = ReconfigSpace(g, lists, max_colorings)
-    start = space.to_masks(phi1)
-    goal = space.to_masks(phi2)
+    start = space.key_of(phi1)
+    goal = space.key_of(phi2)
     prev = {start: None}
     # Reaching one coloring past the budget is the error; the start alone
     # never is, so a frozen start gives None even at budget 0.
@@ -584,8 +579,7 @@ def lift_through_vertex(g: Graph, lists: ListAssignment, v: int, start: Coloring
             raise PreconditionError(f"target color {target_color} is used on a neighbor of {v}; "
                                     f"not reachable by recoloring v")
         mv = SwapMove(v, (psi[v], target_color))
-        outcome = classify_swap(g, lists, psi, mv)
-        psi = outcome.coloring
+        psi = _classify(g, lists, psi, mv).coloring
         out.append(mv)
     return LiftResult(tuple(out), psi)
 
@@ -620,6 +614,8 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
         raise ParameterError("H must be nonempty")
     if any(not 0 <= x < g.n for x in h):
         raise ParameterError("H names vertices out of range")
+    if not 0 <= w < g.n:
+        raise ParameterError(f"anchor {w} out of range")
     if w in h:
         raise ParameterError(f"w = {w} must lie outside H")
     a, b = sorted(pair)
@@ -644,8 +640,7 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
     old_comps = _pair_components(g, partial, (a, b), h)
 
     def contract_ok(cand: Coloring) -> bool:
-        outcome = classify_swap(g, lists, cand, SwapMove(w, (a, b)))
-        if not outcome.valid:
+        if not _classify(g, lists, cand, SwapMove(w, (a, b))).valid:
             return False
         for comp in _pair_components(g, cand, (a, b), frozenset()):
             if sum(1 for p in old_comps if p <= comp) > 1:
@@ -779,14 +774,14 @@ def _bridge_inside(g: Graph, h: frozenset[int], sub_h: Graph, vmap_h, lists, psi
     seq = []
     cur = psi
     for mv in path:
-        lifted = normalize_move(g, cur, SwapMove(vmap_h[mv.anchor], mv.colors))
-        outcome = classify_swap(g, lists, cur, lifted)
+        move = SwapMove(vmap_h[mv.anchor], mv.colors)
+        outcome = _classify(g, lists, cur, move)
         if not outcome.valid:
-            raise KempeError(f"internal: bridge move {lifted} invalid on g: {outcome.reason}")
-        if any(x not in h for x in outcome.component):
-            raise KempeError(f"internal: bridge move {lifted} escaped H")
+            raise KempeError(f"internal: bridge move {move} invalid on g: {outcome.reason}")
+        if not outcome.component <= h:
+            raise KempeError(f"internal: bridge move {move} escaped H")
         cur = outcome.coloring
-        seq.append(lifted)
+        seq.append(SwapMove(min(outcome.component), mv.colors))
     if cur != phi_goal:
         raise KempeError("internal: bridge did not reach the goal coloring")
     return seq, cur

@@ -326,27 +326,29 @@ def _big_intersection_failure(g: Graph, lists: ListAssignment, edges,
     return None
 
 
+def _first_unmixed(g: Graph, lists: ListAssignment, max_colorings: int, subsets) -> str | None:
+    """The message of the first (constraint, message) whose colorings do not mix, or None."""
+    if is_L_swappable(g, lists, max_colorings):
+        return None  # every subset of the one class mixes
+    report = mixing_classes(g, lists, max_colorings)
+    return next((message for constraint, message in subsets
+                 if not subset_mixes(g, lists, constraint, report=report).mixes), None)
+
+
 def _cor_fix_one_failure(g: Graph, lists: ListAssignment, targets,
                          max_colorings: int) -> str | None:
-    report = mixing_classes(g, lists, max_colorings)
-    for v in targets:
-        for alpha in sorted(lists[v]):
-            if any(alpha not in lists[w] for w in g.adj[v]):
-                verdict = subset_mixes(g, lists, ClassConstraint.fix(v, alpha), report=report)
-                if not verdict.mixes:
-                    return f"L_({v},{alpha}) does not mix"
-    return None
+    return _first_unmixed(g, lists, max_colorings, (
+        (ClassConstraint.fix(v, alpha), f"L_({v},{alpha}) does not mix")
+        for v in targets for alpha in sorted(lists[v])
+        if any(alpha not in lists[w] for w in g.adj[v])))
 
 
 def _cor_fix_two_failure(g: Graph, lists: ListAssignment, triples,
                          max_colorings: int) -> str | None:
-    report = mixing_classes(g, lists, max_colorings)
-    for v, w, x in triples:
-        for alpha in sorted(lists[v] & lists[x]):
-            constraint = ClassConstraint.conjunction([(v, alpha), (x, alpha)])
-            if not subset_mixes(g, lists, constraint, report=report).mixes:
-                return f"L_({v},{alpha}) ^ L_({x},{alpha}) does not mix"
-    return None
+    return _first_unmixed(g, lists, max_colorings, (
+        (ClassConstraint.conjunction([(v, alpha), (x, alpha)]),
+         f"L_({v},{alpha}) ^ L_({x},{alpha}) does not mix")
+        for v, _, x in triples for alpha in sorted(lists[v] & lists[x])))
 
 
 def _spec(instance, default: FamilySpec, lemma_id: str | None = None) -> FamilySpec:

@@ -358,6 +358,36 @@ class TestLiftThroughSubgraph:
         _hypothesis_verdict.cache_clear()
         assert len(calls) == 1
 
+    def test_bridging_lift_makes_no_whole_host_check(self, monkeypatch):
+        # Every candidate extension and bridge move is proper by construction,
+        # so the tight branch tests each swap without re-checking the host.
+        # Seed 3's walk needs bridge swaps, seed 0's does not.
+        import kempe.coloring
+
+        g, h, lists = self.host_with_chorded_cycle()
+        start = enumerate_L_colorings(g, lists, 500_000)[0]
+        calls = []
+        original = kempe.coloring.check_coloring
+
+        def counting(host, *args):
+            if host is g:
+                calls.append(args)
+            return original(host, *args)
+
+        sizes = []
+        for seed in (0, 3):
+            moves, expected = random_walk_moves(g, lists, start, frozenset(h), 6,
+                                                random.Random(seed))
+            assert len(moves) == 6
+            monkeypatch.setattr(kempe.coloring, "check_coloring", counting)
+            result = lift_through_subgraph(g, h, lists, start, moves)
+            monkeypatch.setattr(kempe.coloring, "check_coloring", original)
+            assert calls == []
+            assert apply_moves(g, lists, start, result.moves) == result.final
+            assert restricted(result.final, frozenset(h)) == expected
+            sizes.append(len(result.moves))
+        assert sizes[0] == 6 < sizes[1]
+
     def test_fprime_below_subgraph_degree_rejected(self):
         g, h, lists = self.host_with_chorded_cycle()
         small = list(lists)

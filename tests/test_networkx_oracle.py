@@ -1,0 +1,109 @@
+"""Graph constructions, isomorphism and face tracing against networkx as an oracle.
+
+networkx is a test dependency only; kempe never imports it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import networkx as nx
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kempe.graphs import cartesian_product, from_edges, is_connected, is_isomorphic, line_graph
+from kempe.planar import plane_graph_from_faces, trace_faces
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=7):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+def to_nx(g) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def edge_set(g) -> set[frozenset]:
+    return {frozenset(e) for e in g.edges()}
+
+
+@SETTINGS
+@given(g=graphs())
+def test_line_graph_is_networkx_line_graph(g):
+    lg = line_graph(g)
+    expected = nx.line_graph(to_nx(g))
+    assert nx.is_isomorphic(to_nx(lg), expected)
+    # Stronger: vertex "u-v" is the networkx node for edge uv, edges and all.
+    node = [tuple(int(x) for x in label.split("-")) for label in lg.labels]
+    assert sorted(node) == sorted(tuple(sorted(e)) for e in expected.nodes)
+    assert {frozenset((node[a], node[b])) for a, b in lg.edges()} \
+        == {frozenset((tuple(sorted(e)), tuple(sorted(f)))) for e, f in expected.edges}
+
+
+@SETTINGS
+@given(g1=graphs(max_n=5), g2=graphs(max_n=4))
+def test_cartesian_product_is_networkx_cartesian_product(g1, g2):
+    prod = cartesian_product(g1, g2)
+    expected = nx.cartesian_product(to_nx(g1), to_nx(g2))
+    assert nx.is_isomorphic(to_nx(prod), expected)
+    # Stronger: vertex a*n2 + b is the networkx node (a, b).
+    node = [divmod(v, g2.n) for v in range(prod.n)]
+    assert prod.labels == tuple(f"({a},{b})" for a, b in node)
+    assert {frozenset((node[u], node[v])) for u, v in prod.edges()} \
+        == {frozenset(e) for e in expected.edges}
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs on the same vertex count: independent, or a relabeled copy with maybe one edge toggled."""
+    g1 = draw(graphs(min_n=1, max_n=8))
+    kind = draw(st.sampled_from(["independent", "relabeled", "toggled"]))
+    if kind == "independent":
+        n = g1.n
+        pairs = list(itertools.combinations(range(n), 2))
+        return g1, from_edges(n, [e for e in pairs if draw(st.booleans())])
+    perm = draw(st.permutations(range(g1.n)))
+    edges = edge_set(g1)
+    if kind == "toggled" and g1.n >= 2:
+        edges ^= {frozenset(draw(st.sampled_from(list(itertools.combinations(range(g1.n), 2)))))}
+    return g1, from_edges(g1.n, sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+
+
+@SETTINGS
+@given(pair=graph_pairs())
+def test_is_isomorphic_agrees_with_networkx(pair):
+    g1, g2 = pair
+    mapping = is_isomorphic(g1, g2)
+    assert (mapping is not None) == nx.is_isomorphic(to_nx(g1), to_nx(g2))
+    if mapping is not None:
+        assert sorted(mapping) == list(range(g2.n))
+        assert {frozenset(mapping[v] for v in e) for e in edge_set(g1)} == edge_set(g2)
+
+
+@SETTINGS
+@given(g=graphs(min_n=2, max_n=9))
+def test_trace_faces_satisfies_euler_on_networkx_embeddings(g):
+    # networkx embeds a random connected planar graph; its faces, each
+    # directed edge once, build the rotation system.  Either orientation of
+    # the faces gives a genus-0 system, so the face lengths agree too.
+    assume(g.m > 0 and is_connected(g))
+    planar, embedding = nx.check_planarity(to_nx(g))
+    assume(planar)
+    faces, marked = [], set()
+    for u, v in embedding.edges:
+        if (u, v) not in marked:
+            faces.append(embedding.traverse_face(u, v, mark_half_edges=marked))
+    pg = plane_graph_from_faces(g.n, faces)
+    assert edge_set(pg.graph) == edge_set(g)
+    traced = trace_faces(pg)
+    assert g.n - g.m + len(traced) == 2
+    assert sorted(f.length for f in traced) == sorted(len(f) for f in faces)
+    assert sum(f.length for f in traced) == 2 * g.m

@@ -111,9 +111,11 @@ class TestReconfigGraphStructure:
             assert rg.component_ids[a] == rg.component_ids[b]
 
     def test_space_neighbors_are_exactly_the_valid_swaps(self):
-        # Completeness oracle: the bitmask neighbors of each coloring are the
+        # Completeness oracle: the neighbor keys of each coloring are the
         # valid classify_swap outcomes over every anchor and color pair, each
-        # once, and a coloring is frozen iff it has none.
+        # once, and a coloring is frozen iff it has none.  The move decoded
+        # from each key pair is the normalized move that classify_swap
+        # confirms.
         rng = random.Random(23)
         for _ in range(25):
             n = rng.randrange(2, 7)
@@ -123,18 +125,24 @@ class TestReconfigGraphStructure:
                                 for _ in range(n)])
             space = ReconfigSpace(g, lists)
             pairs = list(itertools.combinations(sorted(set().union(*lists)), 2))
-            coloring_of = {space.to_masks(phi): phi for phi in space.colorings}
-            for masks, phi in coloring_of.items():
+            coloring_of = {space.key_of(phi): phi for phi in space.colorings}
+            assert all(_decode(space, key) == phi for key, phi in coloring_of.items())
+            for key, phi in coloring_of.items():
                 expected = set()
                 for anchor in range(n):
                     for pair in pairs:
                         outcome = classify_swap(g, lists, phi, SwapMove(anchor, pair))
                         if outcome.valid:
                             expected.add(outcome.coloring)
-                got = [coloring_of[new] for _, _, _, new in space.neighbors(masks)]
+                got = [coloring_of[new] for new in space.neighbors(key)]
                 assert len(got) == len(set(got))
                 assert set(got) == expected
                 assert space.is_frozen(phi) == (not expected)
+                for new in space.neighbors(key):
+                    move = space.move_between(key, new)
+                    outcome = classify_swap(g, lists, phi, move)
+                    assert outcome.valid and outcome.coloring == coloring_of[new]
+                    assert move.anchor == min(outcome.component)
 
 
     def test_edges_are_every_valid_swap_once(self):
@@ -168,6 +176,20 @@ def _mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
+def _segment(space, key: int, c: int) -> int:
+    """The vertex mask of color index c in a key: bits [c*n, (c+1)*n)."""
+    n = space.g.n
+    return key >> c * n & (1 << n) - 1
+
+
+def _decode(space, key: int):
+    """The coloring a key encodes, each vertex read from the one segment holding it."""
+    holders = [[c for c in range(space.k) if _segment(space, key, c) >> v & 1]
+               for v in range(space.g.n)]
+    assert all(len(h) == 1 for h in holders)
+    return tuple(space.universe[h[0]] for h in holders)
+
+
 def _random_colored_case(rng: random.Random, n: int):
     """A random graph, a proper coloring phi of it, and lists that admit phi."""
     p = rng.choice((0.15, 0.3, 0.5))
@@ -190,18 +212,23 @@ class TestComponentKernel:
     def test_neighbors_match_kempe_component_and_classify_swap(self, seed, n):
         g, phi, lists = _random_colored_case(random.Random(seed), n)
         space = ReconfigSpace(g, lists)
-        masks = space.to_masks(phi)
-
-        def decode(new):
-            return tuple(space.universe[next(c for c in range(space.k) if new[c] >> v & 1)]
-                         for v in range(n))
+        key = space.key_of(phi)
+        assert _decode(space, key) == phi
 
         got = []
-        for i, j, comp, new in space.neighbors(masks):
+        for new in space.neighbors(key):
+            # A swap flips the same vertices, its component, in two segments.
+            i, j = (c for c in range(space.k) if _segment(space, key ^ new, c))
+            comp = _segment(space, key ^ new, i)
+            assert comp == _segment(space, key ^ new, j)
             pair = (space.universe[i], space.universe[j])
             anchor = (comp & -comp).bit_length() - 1
             assert comp == _mask(kempe_component(g, phi, anchor, pair))
-            got.append(decode(new))
+            move = space.move_between(key, new)
+            assert move == SwapMove(anchor, pair)
+            outcome = classify_swap(g, lists, phi, move)
+            assert outcome.valid and outcome.coloring == _decode(space, new)
+            got.append(_decode(space, new))
         expected = set()
         for anchor in range(n):
             for pair in itertools.combinations(space.universe, 2):
@@ -213,7 +240,7 @@ class TestComponentKernel:
         # The memo holds every component of each pair, ordered by lowest vertex.
         for i, j in itertools.combinations(range(space.k), 2):
             pair = (space.universe[i], space.universe[j])
-            s = masks[i] | masks[j]
+            s = _segment(space, key, i) | _segment(space, key, j)
             comps = []
             for v in range(n):
                 if s >> v & 1 and not any(c >> v & 1 for c in comps):
@@ -262,7 +289,7 @@ class TestFusedSwappability:
             total, first = space.count_colorings()
             colorings = enumerate_L_colorings(g, lists)
             assert total == count_L_colorings_reference(g, lists) == len(colorings)
-            assert first == (space.to_masks(colorings[0]) if colorings else None)
+            assert first == (space.key_of(colorings[0]) if colorings else None)
 
     def test_budget_error_carries_the_product_bound(self):
         g = fam("cycle(4)")

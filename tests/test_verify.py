@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
-from kempe.coloring import make_lists
+from kempe.coloring import DEFAULT_MAX_COLORINGS, make_lists
 from kempe.errors import ParameterError
-from kempe.graphs import generate, line_graph, parse_family
-from kempe.reconfig import mixing_classes
+from kempe.graphs import from_edges, generate, line_graph, parse_family
+from kempe.reconfig import ClassConstraint, is_L_swappable, mixing_classes, subset_mixes
 from kempe.verify import (
+    _cor_fix_one_failure,
+    _cor_fix_two_failure,
     DEFAULT_MAX_ASSIGNMENTS,
     AssignmentStream,
     canonicalize_assignment,
@@ -225,3 +228,50 @@ class TestSlackOrder:
         for v in range(g.n):
             earlier = sum(1 for w in g.adj[v] if pos[w] < pos[v])
             assert earlier < sizes[v]
+
+
+def _full_loop_fix_one(g, lists, targets):
+    """The cor-fix-one failure by the subset loop over the full partition, whatever its size."""
+    report = mixing_classes(g, lists)
+    for v in targets:
+        for alpha in sorted(lists[v]):
+            if any(alpha not in lists[w] for w in g.adj[v]):
+                if not subset_mixes(g, lists, ClassConstraint.fix(v, alpha), report=report).mixes:
+                    return f"L_({v},{alpha}) does not mix"
+    return None
+
+
+def _full_loop_fix_two(g, lists, triples):
+    """The cor-fix-two failure by the subset loop over the full partition, whatever its size."""
+    report = mixing_classes(g, lists)
+    for v, _, x in triples:
+        for alpha in sorted(lists[v] & lists[x]):
+            constraint = ClassConstraint.conjunction([(v, alpha), (x, alpha)])
+            if not subset_mixes(g, lists, constraint, report=report).mixes:
+                return f"L_({v},{alpha}) ^ L_({x},{alpha}) does not mix"
+    return None
+
+
+class TestCorFixFailures:
+    def test_single_class_shortcut_gives_the_full_loop_failure(self):
+        # Random graphs and lists, many of them not swappable: the failure
+        # string must be the full subset loop's, None included.
+        rng = random.Random(1010)
+        swappable, failures = 0, 0
+        for _ in range(150):
+            n = rng.randrange(3, 7)
+            g = from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < 0.5])
+            top = rng.randrange(2, 5)
+            lists = make_lists([rng.sample(range(1, top + 1), rng.randrange(1, top + 1))
+                                for _ in range(n)])
+            targets = list(range(n))
+            triples = [(v, w, x) for w in range(n)
+                       for v, x in itertools.combinations(g.adj[w], 2) if not g.has_edge(v, x)]
+            one = _cor_fix_one_failure(g, lists, targets, DEFAULT_MAX_COLORINGS)
+            two = _cor_fix_two_failure(g, lists, triples, DEFAULT_MAX_COLORINGS)
+            assert one == _full_loop_fix_one(g, lists, targets)
+            assert two == _full_loop_fix_two(g, lists, triples)
+            swappable += is_L_swappable(g, lists)
+            failures += (one is not None) + (two is not None)
+        assert 0 < swappable < 150 and failures > 0
