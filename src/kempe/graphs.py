@@ -352,26 +352,26 @@ def _refine_labels(g: Graph) -> tuple[int, ...]:
         labels = new
 
 
-def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 12) -> list[int] | None:
-    """A vertex bijection g1 -> g2 preserving adjacency, or None.
+def _isomorphisms(g1: Graph, g2: Graph):
+    """Every vertex bijection g1 -> g2 preserving adjacency, in lexicographic order.
 
-    Deterministic: vertices of g1 are mapped in ascending id order to the
-    least available candidate.  Intended for graphs of at most max_n vertices;
-    larger inputs raise a budget error.
+    The search maps the vertices of g1 in ascending id order, each to the
+    least available candidate first, so the mappings (tuples v -> image) come
+    out in increasing order.  Candidates must share the refined label and agree on
+    adjacency with every vertex mapped before.
     """
-    if max(g1.n, g2.n) > max_n:
-        raise BudgetError(f"isomorphism size guard exceeded: {max(g1.n, g2.n)} > {max_n}", max_n)
     if g1.n != g2.n or g1.m != g2.m:
-        return None
+        return
     lab1, lab2 = _refine_labels(g1), _refine_labels(g2)
     if sorted(lab1) != sorted(lab2):
-        return None
+        return
     mapping = [-1] * g1.n
     used = [False] * g2.n
 
-    def extend(v: int) -> bool:
+    def extend(v: int):
         if v == g1.n:
-            return True
+            yield tuple(mapping)
+            return
         for w in range(g2.n):
             if used[w] or lab1[v] != lab2[w]:
                 continue
@@ -379,13 +379,34 @@ def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 12) -> list[int] | None:
                 continue
             mapping[v] = w
             used[w] = True
-            if extend(v + 1):
-                return True
+            yield from extend(v + 1)
             mapping[v] = -1
             used[w] = False
-        return False
 
-    return list(mapping) if extend(0) else None
+    yield from extend(0)
+
+
+def is_isomorphic(g1: Graph, g2: Graph, max_n: int = 12) -> list[int] | None:
+    """A vertex bijection g1 -> g2 preserving adjacency, or None.
+
+    Deterministic: the lexicographically least such bijection, the first that
+    _isomorphisms finds.  Intended for graphs of at most max_n vertices;
+    larger inputs raise a budget error.
+    """
+    if max(g1.n, g2.n) > max_n:
+        raise BudgetError(f"isomorphism size guard exceeded: {max(g1.n, g2.n)} > {max_n}", max_n)
+    first = next(_isomorphisms(g1, g2), None)
+    return None if first is None else list(first)
+
+
+def automorphisms(g: Graph):
+    """An iterator over the automorphisms of g as tuples (v -> image), identity first.
+
+    Lexicographic order, lazily: a caller that needs only some of the group
+    takes a prefix.  The group can be huge (K_n has n! elements) and there
+    is no size guard.
+    """
+    return _isomorphisms(g, g)
 
 
 # ---------------------------------------------------------------------------

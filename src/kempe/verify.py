@@ -7,6 +7,14 @@ encoded as bitmasks over the capped universe 1..cap; the canonical form of an
 assignment is the minimum, over all color permutations, of its mask tuple.
 This makes every prefix of a canonical assignment canonical too, which lets
 the exhaustive stream prune whole subtrees during generation.
+
+Graph automorphisms are a second symmetry: relabelling the vertices of the
+graph by an automorphism keeps L-swappability too.  The stream does not
+prune with them, so every report counts the same assignments as without
+them.  Instead, an exhaustive run with the default swappability check skips
+the check on an assignment that an automorphism and a color permutation map
+to a smaller one, which the stream yielded, and the run checked, earlier.
+f_swappable_verdict gives the argument in full.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .errors import ParameterError, PreconditionError
 from .graphs import (
     FamilySpec,
     Graph,
+    automorphisms,
     cartesian_product,
     delete_edge,
     generate,
@@ -42,6 +51,9 @@ from .reconfig import (
 )
 
 DEFAULT_MAX_ASSIGNMENTS = 2_000_000
+#: Bound on the images of one assignment that the orbit test compares: each
+#: automorphism contributes one per color permutation.
+_ORBIT_IMAGES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +76,20 @@ class AssignmentStream:
     seed: int = 0
 
 
+#: The largest color universe a canonical stream accepts.  _perm_tables
+#: holds cap!-1 tables of 2^cap masks: cap 8 takes about 13 s to build on a
+#: 2-core x86-64 box, and every further color multiplies time and memory by
+#: more than 2*cap.
+MAX_CAP = 8
+
+
 @functools.lru_cache(maxsize=None)
 def _perm_tables(cap: int) -> tuple[tuple[int, ...], ...]:
     """For each non-identity permutation of the cap colors, a mask-image table."""
+    if cap > MAX_CAP:
+        raise ParameterError(f"cap {cap} is above {MAX_CAP}: the canonical forms would need "
+                             f"{cap}!-1 color permutation tables (the cap is at least the "
+                             f"largest list size)")
     identity = tuple(range(cap))
     return tuple(tuple(sum(1 << perm[i] for i in range(cap) if mask >> i & 1)
                        for mask in range(1 << cap))
@@ -82,6 +105,38 @@ def _is_prefix_canonical(prefix: list[int], tables) -> bool:
                 return False
             if image > mask:
                 break
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _lead_tables(cap: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """For each mask, the tables of _perm_tables that map it to the least mask of its size."""
+    return {mask: tuple(t for t in _perm_tables(cap) if t[mask] == (1 << bin(mask).count("1")) - 1)
+            for mask in range(1 << cap)}
+
+
+def _orbit_least(masks: tuple[int, ...], auts, leads) -> bool:
+    """Is the mask tuple the least of its orbit under auts x Sym(cap)?
+
+    The images masks∘sigma, for each sigma in auts, are compared with masks
+    under the identity and under color permutations, each up to the first
+    position where the two differ.  The caller vouches for the identity
+    sigma: masks is least under color permutation alone, so masks[0] is the
+    least mask of its size.  A color permutation that maps image[0] to any
+    other mask gives an image above masks at position 0, so only the tables
+    in leads[image[0]] (see _lead_tables) are compared.
+    """
+    for sigma in auts:
+        image = tuple([masks[v] for v in sigma])
+        if image < masks:
+            return False
+        for table in leads[image[0]]:
+            for a, m in zip(image, masks):
+                a = table[a]
+                if a < m:
+                    return False
+                if a > m:
+                    break
     return True
 
 
@@ -114,7 +169,7 @@ def canonicalize_assignment(lists, cap: int) -> ListAssignment:
     return tuple(_mask_to_set(m) for m in best)
 
 
-def enumerate_degree_assignments(stream: AssignmentStream):
+def enumerate_degree_assignments(stream: AssignmentStream, group=()):
     """Iterate canonical assignments for the stream, deterministically.
 
     Exhaustive mode yields every canonical assignment over the capped
@@ -122,6 +177,11 @@ def enumerate_degree_assignments(stream: AssignmentStream):
     draws raw assignments uniformly with the stream's seed and canonicalizes
     each; orbits are hit with probability proportional to their size, which
     is uniform up to the (rare) assignments with nontrivial stabilizer.
+
+    group, in exhaustive mode only, holds vertex permutations (tuples
+    v -> image) that preserve the sizes.  An assignment that one of them,
+    with a color permutation, maps to a smaller mask tuple is yielded as None
+    in its place: the smaller one came earlier in the stream.
     """
     sizes = stream.sizes
     cap = stream.cap
@@ -130,12 +190,15 @@ def enumerate_degree_assignments(stream: AssignmentStream):
     if cap < max(sizes, default=1):
         raise ParameterError(f"cap {cap} is smaller than the largest list size {max(sizes)}")
     if stream.sample is not None:
+        if group:
+            raise ParameterError("a vertex group applies to exhaustive streams only")
         rng = random.Random(stream.seed)
         for _ in range(stream.sample):
             raw = [frozenset(rng.sample(range(1, cap + 1), size)) for size in sizes]
             yield canonicalize_assignment(raw, cap)
         return
     tables = _perm_tables(cap)
+    leads = _lead_tables(cap) if group else {}
     candidates = {s: [m for m in range(1 << cap) if bin(m).count("1") == s]
                   for s in set(sizes)}
     n = len(sizes)
@@ -143,7 +206,9 @@ def enumerate_degree_assignments(stream: AssignmentStream):
 
     def descend(k: int):
         if k == n:
-            yield tuple(_mask_to_set(m) for m in prefix)
+            masks = tuple(prefix)
+            yield (tuple(_mask_to_set(m) for m in masks)
+                   if _orbit_least(masks, group, leads) else None)
             return
         for mask in candidates[sizes[k]]:
             prefix.append(mask)
@@ -154,15 +219,22 @@ def enumerate_degree_assignments(stream: AssignmentStream):
     yield from descend(0)
 
 
-def count_assignment_orbits_reference(sizes, cap: int) -> int:
+def count_assignment_orbits_reference(sizes, cap: int, group=()) -> int:
     """Independent orbit count: enumerate all raw assignments and dedupe.
 
-    Cross-check oracle for the canonical stream; exponential, tiny inputs only.
+    Orbits are under color permutation, and also under group when given: a
+    group of vertex permutations (tuples v -> image, for example every
+    automorphism of the graph) that preserves the sizes.  Each raw
+    assignment is keyed by the set of canonical forms of its images under
+    the group.  Cross-check oracle for the canonical stream; exponential,
+    tiny inputs only.
     """
     options = [list(itertools.combinations(range(1, cap + 1), s)) for s in sizes]
+    perms = [tuple(range(len(sizes))), *group]
     seen = set()
     for raw in itertools.product(*options):
-        seen.add(canonicalize_assignment([frozenset(s) for s in raw], cap))
+        seen.add(frozenset(canonicalize_assignment([frozenset(raw[v]) for v in sigma], cap)
+                           for sigma in perms))
     return len(seen)
 
 
@@ -237,9 +309,12 @@ def _swappable_failure(g: Graph, lists: ListAssignment, max_colorings: int) -> s
 
 
 def _check_task(task):
-    """Check one assignment; the result carries the assignment back to the verdict loop."""
+    """Check one assignment; the result carries the assignment back to the verdict loop.
+
+    lists is None for an assignment the stream vouches for without a check.
+    """
     check, g, lists = task
-    return lists, check(g, lists)
+    return lists, None if lists is None else check(g, lists)
 
 
 def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None,
@@ -255,15 +330,39 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
     workers > 1, since every check then runs in a pool of workers.  Stops at
     the first counterexample in stream order, so the report is the same for
     any worker count.  max_assignments=None checks the whole stream.
+
+    An exhaustive run with the default check skips the check on assignments
+    that an automorphism of g (one that keeps the sizes), with a color
+    permutation, maps to a smaller one.  Each still counts as checked.  This
+    is sound because swappability and the coloring budget are invariant under
+    both relabellings, and the stream yields each assignment that is least
+    under color permutation once, in increasing order.  So the least member
+    of the orbit came earlier and was checked: had it failed, the run would
+    have stopped there.  The least member is never skipped, so the argument
+    holds for any subset of the automorphisms, any max_assignments cut and
+    any worker count.  The run takes at most the first _ORBIT_IMAGES // cap!
+    automorphisms in search order, which bounds the images compared per
+    assignment by _ORBIT_IMAGES, well below the cost of one check.  A custom
+    checker or a sampled stream checks every assignment: sampled draws are
+    unordered and may repeat, and each checker would need its own
+    invariance argument.
     """
     for name, value, least in (("sample", sample, 1), ("max_assignments", max_assignments, 0),
                                ("max_colorings", max_colorings, 0), ("workers", workers, 1)):
         if value is not None and value < least:
             raise ParameterError(f"{name} must be at least {least}, got {value}")
+    if len(sizes) != g.n:
+        raise ParameterError(f"list assignment covers {len(sizes)} vertices, graph has {g.n}")
     t0 = time.perf_counter()
     cap = max(cap, max(sizes, default=1))  # the stream must admit the sizes
     spec = AssignmentStream(tuple(sizes), cap, sample, seed)
-    stream = enumerate_degree_assignments(spec)
+    tables = _perm_tables(cap)  # here, so that a cap above MAX_CAP fails before a pool starts
+    group = ()
+    if checker is None and sample is None:
+        # Past the identity, which comes first; each costs up to cap! images.
+        auts = itertools.islice(automorphisms(g), 1, _ORBIT_IMAGES // (len(tables) + 1))
+        group = [sigma for sigma in auts if all(sizes[v] == sizes[w] for v, w in enumerate(sigma))]
+    stream = enumerate_degree_assignments(spec, group)
     check = checker or functools.partial(_swappable_failure, max_colorings=max_colorings)
     tasks = ((check, g, lists) for lists in itertools.islice(stream, max_assignments))
     if workers > 1:
@@ -289,7 +388,7 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
             if failure is not None:
                 return finish("counterexample", checked, counterexample=lists, detail=failure)
     # The pool is closed, so no other thread reads the stream any more.
-    if next(stream, None) is not None:
+    for _ in stream:  # an item is left (None stands for a skipped assignment)
         return finish("budget-exceeded", checked, detail=f"stopped after {checked} assignments")
     return finish("verified", checked)
 

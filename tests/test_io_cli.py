@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -104,6 +105,15 @@ class TestCli:
         assert main(["verify", "degree-swappable-nonsense"]) == 3
         capsys.readouterr()
         assert main(["verify", "prism", "--instance", "prism(1,1,1)"]) == 3
+
+    @pytest.mark.parametrize("extra", [[], ["--sample", "5"], ["--workers", "2"]])
+    def test_verify_cap_above_the_maximum_is_a_quick_input_error(self, extra, capsys):
+        # cap 8 already takes seconds to tabulate; cap 40 never finished.
+        start = time.perf_counter()
+        assert main(["verify", "barbell", "--cap", "40", "--max-assignments", "3", *extra]) == 3
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap 40 is above 8" in captured.err
 
     @pytest.mark.parametrize("flag, value", [
         ("--sample", "-5"), ("--sample", "0"), ("--max-assignments", "-1"),

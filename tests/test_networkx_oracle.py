@@ -1,4 +1,4 @@
-"""Graph constructions, isomorphism and face tracing against networkx as an oracle.
+"""Graph constructions, isomorphism, automorphisms and face tracing against networkx as an oracle.
 
 networkx is a test dependency only; kempe never imports it.
 """
@@ -8,10 +8,18 @@ from __future__ import annotations
 import itertools
 
 import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kempe.graphs import cartesian_product, from_edges, is_connected, is_isomorphic, line_graph
+from kempe.graphs import (
+    automorphisms,
+    cartesian_product,
+    from_edges,
+    is_connected,
+    is_isomorphic,
+    line_graph,
+)
 from kempe.planar import plane_graph_from_faces, trace_faces
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -86,6 +94,23 @@ def test_is_isomorphic_agrees_with_networkx(pair):
     if mapping is not None:
         assert sorted(mapping) == list(range(g2.n))
         assert {frozenset(mapping[v] for v in e) for e in edge_set(g1)} == edge_set(g2)
+        # The mapping is the lexicographically least isomorphism, as before
+        # the search became a generator.
+        every = GraphMatcher(to_nx(g1), to_nx(g2)).isomorphisms_iter()
+        assert mapping == min([m[v] for v in range(g1.n)] for m in every)
+
+
+@SETTINGS
+@given(g=graphs(max_n=7))
+def test_automorphisms_are_networkx_automorphisms(g):
+    auts = list(automorphisms(g))
+    assert len(set(auts)) == len(auts)
+    assert auts == sorted(auts) and auts[0] == tuple(range(g.n))
+    for sigma in auts:
+        assert {frozenset(sigma[v] for v in e) for e in edge_set(g)} == edge_set(g)
+    expected = {tuple(m[v] for v in range(g.n))
+                for m in GraphMatcher(to_nx(g), to_nx(g)).isomorphisms_iter()}
+    assert set(auts) == expected
 
 
 @SETTINGS

@@ -247,6 +247,24 @@ class TestComponentKernel:
                     comps.append(_mask(kempe_component(g, phi, v, pair)))
             assert space.memo[s] == tuple(comps)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+    def test_a_valid_swap_is_an_involution(self, seed, n):
+        g, phi, lists = _random_colored_case(random.Random(seed), n)
+        palette = sorted(set().union(*lists))
+        for anchor in range(n):
+            for pair in itertools.combinations(palette, 2):
+                move = SwapMove(anchor, pair)
+                out = classify_swap(g, lists, phi, move)
+                if out.valid:
+                    back = classify_swap(g, lists, out.coloring, move)
+                    assert back.valid and back.coloring == phi
+                    assert back.component == out.component
+        space = ReconfigSpace(g, lists)
+        key = space.key_of(phi)
+        for new in space.neighbors(key):
+            assert key in set(space.neighbors(new))
+
     def test_spaces_on_one_graph_share_the_memo(self):
         g = fam("cycle(5)")
         first = ReconfigSpace(g, make_lists([{1, 2, 3}] * 5))

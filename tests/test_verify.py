@@ -10,12 +10,13 @@ import pytest
 
 from kempe.coloring import DEFAULT_MAX_COLORINGS, make_lists
 from kempe.errors import ParameterError
-from kempe.graphs import from_edges, generate, line_graph, parse_family
+from kempe.graphs import automorphisms, from_edges, generate, is_connected, line_graph, parse_family
 from kempe.reconfig import ClassConstraint, is_L_swappable, mixing_classes, subset_mixes
 from kempe.verify import (
     _cor_fix_one_failure,
     _cor_fix_two_failure,
     DEFAULT_MAX_ASSIGNMENTS,
+    MAX_CAP,
     AssignmentStream,
     canonicalize_assignment,
     count_assignment_orbits_reference,
@@ -77,6 +78,48 @@ class TestCanonicalStream:
         with pytest.raises(ParameterError):
             list(enumerate_degree_assignments(AssignmentStream((3, 1), 2)))
 
+    def test_oversized_cap_and_short_sizes_rejected_before_any_table(self):
+        cap = MAX_CAP + 1
+        with pytest.raises(ParameterError, match=f"cap {cap} is above {MAX_CAP}"):
+            canonicalize_assignment([{1}], cap)
+        for sample in (None, 3):
+            with pytest.raises(ParameterError, match=f"cap {cap} is above"):
+                next(enumerate_degree_assignments(AssignmentStream((1, 1), cap, sample=sample)))
+        with pytest.raises(ParameterError, match="covers 3 vertices, graph has 4"):
+            f_swappable_verdict(fam("cycle(4)"), (2, 2, 2), cap=4)
+        # A list size of 9 raises the cap to 9 without being asked.
+        with pytest.raises(ParameterError, match="cap 9 is above"):
+            f_swappable_verdict(fam("cycle(3)"), (9, 1, 1), cap=4, workers=2)
+
+    def test_group_orbit_count_reference(self):
+        # One color per vertex of the path 0-1-2 at cap 3: the Sym(3) orbits
+        # are the 5 set partitions of the vertices.  Reversing the path maps
+        # {0,1 | 2} to {1,2 | 0}, which leaves 4.
+        reverse = (2, 1, 0)
+        assert count_assignment_orbits_reference((1, 1, 1), 3) == 5
+        assert count_assignment_orbits_reference((1, 1, 1), 3, group=[reverse]) == 4
+        assert list(automorphisms(fam("path(3)"))) == [(0, 1, 2), reverse]
+
+    def test_group_marks_every_non_least_assignment(self):
+        # With a group, the stream yields the same assignments in the same
+        # order, and None in place of exactly those that are not the least
+        # of their orbit under the group and color permutation.
+        g = line_graph(fam("theta(1,3,3)"))
+        group = list(automorphisms(g))[1:]
+        spec = AssignmentStream(g.degrees(), 4)
+        plain = list(enumerate_degree_assignments(spec))
+        marked = list(enumerate_degree_assignments(spec, group))
+        assert len(plain) == len(marked) == 400
+        seen = set()
+        for lists, mark in zip(plain, marked):
+            images = [canonicalize_assignment([lists[v] for v in sigma], 4) for sigma in group]
+            least = all(_masks(lists) <= _masks(image) for image in images)
+            assert mark == (lists if least else None)
+            assert least == (lists not in seen)
+            seen.update(images + [lists])
+        with pytest.raises(ParameterError, match="exhaustive"):
+            next(enumerate_degree_assignments(dataclasses.replace(spec, sample=2), group))
+
     def test_gap_free_color_introduction(self):
         for lists in enumerate_degree_assignments(AssignmentStream((2, 1, 3), 4)):
             seen: set[int] = set()
@@ -136,6 +179,75 @@ class TestDegreeSwappableVerdict:
         seq, par = run(1), run(2)
         assert seq.verdict == verdict
         assert dataclasses.replace(seq, runtime=0.0) == dataclasses.replace(par, runtime=0.0)
+
+
+def _masks(lists):
+    return tuple(sum(1 << (c - 1) for c in s) for s in lists)
+
+
+def _check_every_assignment(g, sizes, cap, max_assignments):
+    """The verdict loop without orbit skipping: a swappability check per assignment."""
+    stream = enumerate_degree_assignments(AssignmentStream(tuple(sizes), max(cap, *sizes)))
+    checked = 0
+    for lists in itertools.islice(stream, max_assignments):
+        checked += 1
+        if not is_L_swappable(g, lists):
+            return "counterexample", checked, lists, "not swappable"
+    if next(stream, None) is not None:
+        return "budget-exceeded", checked, None, f"stopped after {checked} assignments"
+    return "verified", checked, None, ""
+
+
+class TestOrbitSkipping:
+    @pytest.mark.parametrize("family, line, slack", [
+        ("theta(1,3,3)", True, False), ("prism(2,1,1)", False, False),
+        ("barbell(4,4,0)", True, False), ("cycle(5)", False, True),
+    ])
+    def test_checks_run_equal_the_aut_sym_orbit_count(self, family, line, slack, monkeypatch):
+        import kempe.verify
+
+        g = line_graph(fam(family)) if line else fam(family)
+        calls = []
+        original = kempe.verify.is_L_swappable
+        monkeypatch.setattr(kempe.verify, "is_L_swappable",
+                            lambda *args: calls.append(1) or original(*args))
+        # Slack at vertex 0, as cor-order has it: only the automorphisms
+        # that fix vertex 0 keep the sizes.
+        sizes = tuple(d + (slack and v == 0) for v, d in enumerate(g.degrees()))
+        report = f_swappable_verdict(g, sizes, cap=4)
+        group = [s for s in automorphisms(g) if s != tuple(range(g.n))
+                 and all(sizes[v] == sizes[w] for v, w in enumerate(s))]
+        assert report.verdict == "verified"
+        assert report.assignments_checked == count_assignment_orbits_reference(sizes, 4)
+        assert len(calls) == count_assignment_orbits_reference(sizes, 4, group=group)
+        assert len(calls) < report.assignments_checked
+
+    def test_report_equals_the_check_every_assignment_reference(self):
+        # Random connected graphs, with degree sizes or with one vertex of
+        # slack (which only the automorphisms fixing its size class keep);
+        # the stream is cut at random places, and some runs use 2 workers.
+        rng = random.Random(1212)
+        verdicts = []
+        for trial in range(45):
+            n = rng.randrange(3, 7)
+            while True:
+                g = from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < 0.5])
+                if is_connected(g):
+                    break
+            sizes = list(g.degrees())
+            if trial % 3 == 0:
+                sizes[rng.randrange(n)] += 1
+            cap = rng.choice((3, 4)) if max(sizes) <= 3 else 4
+            budget = rng.choice((None, None, rng.randrange(1, 40)))
+            workers = 2 if trial % 9 == 4 else 1
+            report = f_swappable_verdict(g, sizes, cap=cap, max_assignments=budget,
+                                         workers=workers)
+            expected = _check_every_assignment(g, sizes, cap, budget)
+            assert (report.verdict, report.assignments_checked, report.counterexample,
+                    report.detail) == expected, (g.adj, sizes, cap, budget)
+            verdicts.append(report.verdict)
+        assert {"verified", "counterexample", "budget-exceeded"} <= set(verdicts)
 
 
 class TestVerifyLemma:
