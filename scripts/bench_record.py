@@ -4,7 +4,11 @@ Runs `perfbench/run.py` on every workload that BENCHMARK.json lists, for its
 `run_seconds`, in 10 pairs that alternate the two checkouts (the order flips
 on every other pair, so a slow drift of the machine weighs on both sides
 alike), then the tier-1 test suite once per checkout with per-test durations.
-Writes one JSON document with the end-to-end metrics of BENCHMARK.json:
+Writes one JSON document with the end-to-end metrics of BENCHMARK.json and,
+for each workload and metric, the verdict: `claim_holds` when the change wins
+at least 9 of 10 pairs and its median beats the parent's by more than the
+parent's interquartile range, `within_bound` when the change's median is no
+worse than the parent's by more than the metric's `bound`:
 
     python3 scripts/bench_record.py --before ../parent --after . --out BENCH.json
 
@@ -27,7 +31,7 @@ from pathlib import Path
 
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
-METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 CRITERIA = ("test_criterion_5_barbell_lemma", "test_criterion_6_k4k2_lemma",
@@ -57,14 +61,21 @@ def compare_workload(before: str, after: str, workload: str) -> dict:
         for side, checkout in sides if pair % 2 == 0 else reversed(sides):
             runs[side].append(perfbench(checkout, workload, pair + 1))
             print(f"{workload} pair {pair + 1} {side}: {runs[side][-1]}", file=sys.stderr)
-    out = {}
-    for name in METRICS:
-        b = [r[name] for r in runs["before"]]
-        a = [r[name] for r in runs["after"]]
-        out[name] = {"before": summary(b), "after": summary(a),
-                     "after_wins": sum(x < y for x, y in zip(a, b)),
-                     "speedup_of_medians": statistics.median(b) / statistics.median(a)}
-    return out
+    return {name: verdict([r[name] for r in runs["before"]], [r[name] for r in runs["after"]],
+                          metric) for name, metric in METRICS.items()}
+
+
+def verdict(b: list[float], a: list[float], metric: dict) -> dict:
+    """Both sides' summaries, the pairs the change wins (ties count for
+    neither side) and whether a claimed gain holds and the bound is kept."""
+    before, after = summary(b), summary(a)
+    sign = 1 if metric["better"] == "lower" else -1  # > 0 when the change is better
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    gain = sign * (before["median"] - after["median"])
+    return {"before": before, "after": after, "after_wins": wins,
+            "speedup_of_medians": before["median"] / after["median"],
+            "claim_holds": 10 * wins >= 9 * len(b) and gain > before["q3"] - before["q1"],
+            "within_bound": -gain <= metric["bound"] * before["median"]}
 
 
 def tier1(checkout: str) -> dict:

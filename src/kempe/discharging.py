@@ -10,6 +10,7 @@ and rules apply in sequence.  Everything is a Fraction; no floats anywhere.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +60,11 @@ class ChargeLedger:
         return self._bucket(holder)[holder[1]]
 
     def total(self) -> Fraction:
-        return sum(self.vertex + self.face + self.pot, Fraction(0))
+        """Re-sum every holder: in integers over the least common denominator,
+        which skips the gcd that each Fraction addition takes."""
+        charges = self.vertex + self.face + self.pot
+        den = math.lcm(*(c.denominator for c in charges))
+        return Fraction(sum(c.numerator * (den // c.denominator) for c in charges), den)
 
     def move(self, source: Holder, sink: Holder, amount: Fraction, rule: str) -> None:
         if amount == 0:
@@ -119,9 +124,11 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
     to stay exactly -8 after every rule (connected input required).
     """
     g = pg.graph
+    if g.n == 0:
+        raise PreconditionError("discharging needs a nonempty plane graph")
     if not is_connected(g):
         raise PreconditionError("discharging requires a connected plane graph")
-    if g.n and g.min_degree() < 2:
+    if g.min_degree() < 2:
         raise PreconditionError(f"discharging needs min degree >= 2, got {g.min_degree()}")
     if variant not in ("lemma1", "lemma2"):
         raise ParameterError(f"variant must be lemma1 or lemma2, got {variant!r}")
@@ -155,9 +162,10 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
     rule_totals = []
 
     def close_rule(rule: str) -> None:
-        if ledger.total() != expected_total:
-            raise KempeError(f"charge not conserved after {rule}: total {ledger.total()}")
-        rule_totals.append((rule, ledger.total()))
+        total = ledger.total()
+        if total != expected_total:
+            raise KempeError(f"charge not conserved after {rule}: total {total}")
+        rule_totals.append((rule, total))
 
     if variant == "lemma1":
         _rules_lemma1(g, sub, pot_of, ledger, incidence, faces, close_rule)
@@ -166,7 +174,7 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
 
     negative = tuple((h, c) for h, c in _all_holders(ledger) if c < 0)
     return DischargeReport(variant, ledger, initial, tuple(pot_components), negative,
-                           ledger.total(), tuple(rule_totals), tuple(events))
+                           rule_totals[-1][1], tuple(rule_totals), tuple(events))
 
 
 def _all_holders(ledger: ChargeLedger):

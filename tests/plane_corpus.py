@@ -68,6 +68,13 @@ def wheel(rim: int) -> PlaneGraph:
     return plane_graph_from_faces(rim + 1, faces)
 
 
+def prism(k: int) -> PlaneGraph:
+    """The cubic prism C_k x K2: cycle 0..k-1 inside cycle k..2k-1, spokes i - k+i."""
+    faces = [tuple(range(k)), tuple(range(2 * k - 1, k - 1, -1))]
+    faces += [((i + 1) % k, i, k + i, k + (i + 1) % k) for i in range(k)]
+    return plane_graph_from_faces(2 * k, faces)
+
+
 def random_triangulation(n: int, seed: int) -> PlaneGraph:
     """Grow an embedded triangulation from K3 by inserting vertices into faces."""
     if n < 3:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,11 @@ from plane_corpus import (
     wheel,
 )
 
-from kempe.errors import ParameterError, PreconditionError
+from kempe import discharging
+from kempe.errors import KempeError, ParameterError, PreconditionError
 from kempe.graphs import Graph
 from kempe.planar import PlaneGraph, plane_graph_from_faces
-from kempe.discharging import run_discharging
+from kempe.discharging import ChargeLedger, run_discharging
 
 
 def k4_minus_edge_embedded() -> PlaneGraph:
@@ -73,6 +75,35 @@ class TestConservation:
         assert vertex == report.ledger.vertex
         assert face == report.ledger.face
         assert pot == report.ledger.pot
+
+
+    def test_total_equals_a_plain_fraction_sum(self):
+        rng = random.Random(13)
+
+        def charges(k):
+            return [Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 5, 6, 7, 12, 15)))
+                    for _ in range(k)]
+
+        for _ in range(300):
+            ledger = ChargeLedger(charges(rng.randrange(0, 12)), charges(rng.randrange(0, 12)),
+                                  charges(rng.randrange(0, 4)))
+            if rng.random() < 0.3 and ledger.vertex:
+                ledger.vertex[0] = Fraction(0)
+            expected = sum(ledger.vertex + ledger.face + ledger.pot, Fraction(0))
+            assert ledger.total() == expected
+            assert ledger.total().denominator == expected.denominator
+
+    def test_charge_changed_outside_move_is_caught(self, monkeypatch):
+        spread = discharging._rule_spread_five_plus
+
+        def leaky_spread(g, ledger, incidence, rule):
+            spread(g, ledger, incidence, rule)
+            ledger.face[0] += Fraction(1, 3)  # not a transfer: charge appears
+
+        monkeypatch.setattr(discharging, "_rule_spread_five_plus", leaky_spread)
+        for variant in ("lemma1", "lemma2"):
+            with pytest.raises(KempeError, match="charge not conserved after R2: total -23/3"):
+                run_discharging(icosahedron(), variant)
 
 
 class TestLemma1Rules:
@@ -169,6 +200,10 @@ class TestPreconditions:
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
             run_discharging(tetrahedron(), "lemma3")
+
+    def test_empty_plane_graph_rejected(self):
+        with pytest.raises(PreconditionError, match="nonempty"):
+            run_discharging(PlaneGraph(Graph(0, ()), ()), "lemma1")
 
 
 class TestContradictionInvariant:

@@ -148,6 +148,15 @@ class TestCli:
         assert "total=-8" in out
         assert "pot 0: initial 0 | R1:-8 R3:+12 | final 4" in out
 
+    @pytest.mark.parametrize("command", ["audit", "discharge"])
+    def test_empty_plane_graph_is_input_error(self, command, tmp_path, capsys):
+        plane_file = tmp_path / "empty.rot"
+        plane_file.write_text("")
+        assert main([command, "--plane", str(plane_file), "--variant", "lemma1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and "nonempty" in captured.err
+
     def test_path_and_frozen(self, tmp_path, capsys):
         graph_file = tmp_path / "c4.el"
         lists_file = tmp_path / "l.lists"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -11,17 +12,20 @@ from plane_corpus import (
     icosahedron,
     octahedron,
     platonic_solids,
+    prism,
     random_plane_min2,
     random_triangulation,
     tetrahedron,
     wheel,
 )
 
-from kempe.errors import ParameterError, PreconditionError
+from kempe.errors import BudgetError, ParameterError, PreconditionError
 from kempe.graphs import Graph, from_edges, generate, parse_family
 from kempe.planar import (
+    DEFAULT_SEARCH_BUDGET,
     PlaneGraph,
     all_cycles,
+    delete_edge_planar,
     detect_configuration,
     extract_special_subgraph,
     plane_graph_from_faces,
@@ -109,6 +113,75 @@ def brute_has_k24(g: Graph) -> bool:
     return False
 
 
+def reference_barbell(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET):
+    """The barbell detector before iterative deepening, as (cycle1, cycle2, path).
+
+    It lists every simple cycle, sorts the even ones by (length, tuple) and
+    scans pairs by ascending total length, then by position; the cycle search
+    steps and the pair checks share one budget.
+    """
+    left = [budget]
+
+    def spend(what):
+        left[0] -= 1
+        if left[0] < 0:
+            raise BudgetError(f"{what} exceeded the search budget of {budget} steps", budget)
+
+    cycles = []
+
+    def extend(start, path):
+        spend("cycle search")
+        for w in g.adj[path[-1]]:
+            if w == start and len(path) >= 3 and path[1] < path[-1]:
+                cycles.append(tuple(path))
+            elif w > start and w not in path:
+                extend(start, path + [w])
+
+    for s in range(g.n):
+        extend(s, [s])
+    even = sorted((c for c in cycles if len(c) % 2 == 0), key=lambda c: (len(c), c))
+    by_len = {}
+    for i, c in enumerate(even):
+        by_len.setdefault(len(c), []).append(i)
+    for total in sorted({a + b for a in by_len for b in by_len}):
+        for la in sorted(by_len):
+            for i in by_len[la]:
+                for j in by_len.get(total - la, ()):
+                    if j <= i:
+                        continue
+                    spend("barbell pair scan")
+                    a, b = even[i], even[j]
+                    shared = set(a) & set(b)
+                    if len(shared) == 1:
+                        return a, b, (min(shared),)
+                    if not shared:
+                        join = shortest_join(g, set(a), set(b))
+                        if join is not None:
+                            return a, b, join
+    return None
+
+
+def shortest_join(g: Graph, source: set[int], target: set[int]):
+    """Breadth-first from source in sorted order; the first target reached."""
+    parent = {v: None for v in source}
+    frontier = sorted(source)
+    while frontier:
+        following = []
+        for x in frontier:
+            for w in g.adj[x]:
+                if w in parent:
+                    continue
+                parent[w] = x
+                if w in target:
+                    path = [w]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                following.append(w)
+        frontier = following
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Tracing
 # ---------------------------------------------------------------------------
@@ -151,6 +224,48 @@ class TestTraceFaces:
         c4 = fam("cycle(4)")
         with pytest.raises(ParameterError):
             PlaneGraph(c4, ((1, 2), (0, 2), (1, 3), (2, 0)))
+
+
+class TestMemo:
+    def test_faces_are_traced_once_per_plane_graph(self):
+        pg = random_plane_min2(16, 4)
+        faces = trace_faces(pg)
+        assert trace_faces(pg) is faces
+        equal = PlaneGraph(pg.graph, pg.rotation)
+        assert equal == pg
+        fresh = trace_faces(equal)
+        assert fresh == faces and fresh is not faces
+
+    def test_special_subgraphs_are_extracted_once_per_plane_graph(self):
+        pg = random_plane_min2(16, 4)
+        for kind in ("G3", "G2"):
+            sub = extract_special_subgraph(pg, kind)
+            assert extract_special_subgraph(pg, kind) is sub
+            assert extract_special_subgraph(PlaneGraph(pg.graph, pg.rotation), kind) == sub
+        with pytest.raises(ParameterError, match="G3 or G2"):
+            extract_special_subgraph(pg, "G4")
+
+    def test_non_genus_0_rotation_raises_on_every_call(self):
+        k5 = fam("clique(5)")
+        pg = PlaneGraph(k5, k5.adj)
+        for _ in range(3):
+            with pytest.raises(PreconditionError, match="genus-0"):
+                trace_faces(pg)
+            with pytest.raises(PreconditionError, match="genus-0"):
+                extract_special_subgraph(pg, "G2")
+            with pytest.raises(PreconditionError, match="genus-0"):
+                structural_audit(pg, "lemma2")
+
+    def test_deleting_an_edge_traces_the_new_faces(self):
+        pg = cube()
+        faces = trace_faces(pg)
+        g3 = extract_special_subgraph(pg, "G3")
+        smaller = delete_edge_planar(pg, 0, 1)
+        # The two faces on either side of the edge merge into one hexagon.
+        assert sorted(f.length for f in trace_faces(smaller)) == [4, 4, 4, 4, 6]
+        assert extract_special_subgraph(smaller, "G3").qualifying == (2, 3, 4, 5, 6, 7)
+        assert trace_faces(pg) is faces and len(faces) == 6
+        assert extract_special_subgraph(pg, "G3") is g3
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +377,83 @@ class TestDetect:
     def test_cycle_enumeration_matches_brute_force(self):
         for g in (fam("barbell(4,4,1)"), fam("theta(1,3,3)"), cube().graph):
             assert len(all_cycles(g)) == len(brute_cycles(g))
+            assert set(all_cycles(g)) == brute_cycles(g)
+
+
+def barbell_corpus() -> list[Graph]:
+    """The oracle-test families and 70 random graphs, G3 and G2 of 200 random
+    plane graphs (the criterion-12 draw), the prisms C3-C14 x K2, and one
+    graph on which scanning past the deepening bound changes the witness."""
+    graphs = [fam("barbell(4,4,0)"), fam("barbell(4,4,2)"), fam("theta(2,2,4)"),
+              fam("theta(1,3,3)"), fam("complete_bipartite(2,4)"),
+              fam("complete_bipartite(2,3)"), fam("cycle(6)"), cube().graph]
+    for seed, count, sizes, p in ((60, 10, (5, 9), 0.35), (61, 60, (8, 12), 0.3)):
+        rng = random.Random(seed)
+        made = 0
+        while made < count:
+            n = rng.randrange(*sizes)
+            try:
+                graphs.append(from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                             if rng.random() < p]))
+            except ParameterError:
+                continue
+            made += 1
+    rng = random.Random(20260810)
+    for i in range(200):
+        pg = random_plane_min2(rng.randrange(6, 21), seed=31_000 + i)
+        graphs += [extract_special_subgraph(pg, kind).graph for kind in ("G3", "G2")]
+    graphs += [prism(k).graph for k in range(3, 15)]
+    # A 4-cycle bridged to an 8-cycle, beside two 6-cycles bridged together:
+    # both barbells total 12, and (4, 8) comes first.
+    graphs.append(from_edges(24, [(i, (i + 1) % 4) for i in range(4)]
+                             + [(4 + i, 4 + (i + 1) % 8) for i in range(8)]
+                             + [(12 + i, 12 + (i + 1) % 6) for i in range(6)]
+                             + [(18 + i, 18 + (i + 1) % 6) for i in range(6)]
+                             + [(0, 4), (12, 18)]))
+    return graphs
+
+
+class TestBarbellDeepening:
+    @staticmethod
+    def outcome(search, g, budget):
+        try:
+            return search(g, budget)
+        except BudgetError as exc:
+            return ("budget", str(exc))
+
+    @staticmethod
+    def deepened(g, budget):
+        w = detect_configuration(g, "C2-barbell", budget=budget)
+        if w is None:
+            return None
+        w.validate(g)
+        return w.cycle1, w.cycle2, w.path
+
+    def test_same_witness_as_the_full_scan(self):
+        corpus = barbell_corpus()
+        found = 0
+        for g in corpus:
+            expected = self.outcome(reference_barbell, g, DEFAULT_SEARCH_BUDGET)
+            assert self.outcome(self.deepened, g, DEFAULT_SEARCH_BUDGET) == expected, g
+            found += expected is not None
+        assert found > 40
+
+    def test_small_budgets_fail_or_find_the_full_scan_witness(self):
+        # Each round has its own budget, so a search that the full scan could
+        # not finish may now find a barbell; it must be the one a large
+        # enough budget finds.
+        corpus = barbell_corpus()
+        gained = 0
+        for budget in (30, 300):
+            for g in corpus:
+                expected = self.outcome(reference_barbell, g, budget)
+                got = self.outcome(self.deepened, g, budget)
+                if expected != got:
+                    assert expected[0] == "budget", g
+                    if got[0] != "budget":
+                        assert got == reference_barbell(g), g
+                        gained += 1
+        assert gained > 0
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +499,22 @@ class TestStructuralAudit:
     def test_octahedron_audits(self):
         report = structural_audit(octahedron(), "lemma1")
         assert any(w.kind == "C1-edge" for w in report.witnesses)
+
+
+    def test_large_prism_audits_find_a_barbell(self):
+        # The full cycle list of C16 x K2 and up runs out of budget.
+        for k in range(16, 25):
+            pg = prism(k)
+            report = structural_audit(pg, "lemma1")
+            barbells = [w for w in report.witnesses if w.kind == "C2-barbell"]
+            assert len(barbells) == 1, k
+            barbells[0].validate(pg.graph)
+            assert sorted(map(len, (barbells[0].cycle1, barbells[0].cycle2))) == [4, 4]
+            assert not any(note.startswith("C2-barbell") for note in report.notes), k
+
+    def test_empty_plane_graph_rejected(self):
+        with pytest.raises(PreconditionError, match="nonempty"):
+            structural_audit(PlaneGraph(Graph(0, ()), ()), "lemma1")
 
 
 class TestTriangulationAudits:
