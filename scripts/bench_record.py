@@ -14,6 +14,8 @@ worse than the parent's by more than the metric's `bound`:
 
 Each checkout must hold `src/kempe` and `perfbench/`; make the "before" one
 with `git archive <rev> | tar -x -C DIR`.  Nothing is imported from either.
+Every run gets its own empty PYTHONPYCACHEPREFIX, so both checkouts compile
+every module they import, whatever `__pycache__` directories they hold.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,12 +41,18 @@ CRITERIA = ("test_criterion_5_barbell_lemma", "test_criterion_6_k4k2_lemma",
             "test_criterion_7_short_theta_and_prisms")
 
 
+def run(argv: list[str], checkout: str, **env) -> subprocess.CompletedProcess:
+    """Run argv in checkout with a fresh, empty bytecode cache."""
+    with tempfile.TemporaryDirectory() as cache:
+        return subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPYCACHEPREFIX=cache, **env))
+
+
 def perfbench(checkout: str, workload: str, seed: int) -> dict:
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    proc = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(SECONDS), "--trace", "0"], checkout)
+    proc.check_returncode()
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} is not clean: {result}")
     return {name: result["metrics"][name]["value"] for name in METRICS}
@@ -79,11 +88,9 @@ def verdict(b: list[float], a: list[float], metric: dict) -> dict:
 
 
 def tier1(checkout: str) -> dict:
-    env = dict(os.environ, PYTHONPATH="src")
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0"],
-        cwd=checkout, env=env, capture_output=True, text=True)
+    proc = run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0"],
+               checkout, PYTHONPATH="src")
     wall = time.perf_counter() - t0
     tail = proc.stdout.strip().splitlines()[-1]
     if proc.returncode:

@@ -68,10 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kempe", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", "-o", default=None, help="write the report to this file")
+    # The inputs of every command that works on the L-colorings of a graph.
+    colored = argparse.ArgumentParser(add_help=False)
+    colored.add_argument("--graph", required=True)
+    colored.add_argument("--lists", required=True)
+    colored.add_argument("--max-colorings", type=int, default=DEFAULT_MAX_COLORINGS)
     sub = top.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     p = add_parser("gen", help="generate a family graph")
     p.add_argument("spec", help='family string, e.g. "barbell(4,4,0)"')
@@ -103,32 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plane", required=True)
     p.add_argument("--variant", choices=("lemma1", "lemma2"), required=True)
 
-    p = add_parser("colorings", help="enumerate all L-colorings")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lists", required=True)
-    p.add_argument("--max-colorings", type=int, default=DEFAULT_MAX_COLORINGS)
+    add_parser("colorings", colored, help="enumerate all L-colorings")
 
-    p = add_parser("mix", help="mixing classes of the reconfiguration graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lists", required=True)
-    p.add_argument("--max-colorings", type=int, default=DEFAULT_MAX_COLORINGS)
+    p = add_parser("mix", colored, help="mixing classes of the reconfiguration graph")
     p.add_argument("--dot", action="store_true", help="emit the reconfiguration graph as DOT")
 
-    p = add_parser("path", help="shortest swap sequence between two L-colorings")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lists", required=True)
+    p = add_parser("path", colored, help="shortest swap sequence between two L-colorings")
     p.add_argument("--start", required=True, dest="start")
     p.add_argument("--goal", required=True, dest="goal")
-    p.add_argument("--max-colorings", type=int, default=DEFAULT_MAX_COLORINGS)
 
-    p = add_parser("frozen", help="list the frozen L-colorings")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lists", required=True)
-    p.add_argument("--max-colorings", type=int, default=DEFAULT_MAX_COLORINGS)
+    add_parser("frozen", colored, help="list the frozen L-colorings")
 
-    p = add_parser("lift", help="lift a swap sequence through a vertex or subgraph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lists", required=True)
+    p = add_parser("lift", colored, help="lift a swap sequence through a vertex or subgraph")
     p.add_argument("--start", required=True)
     p.add_argument("--moves", required=True)
     p.add_argument("--vertex", type=int, default=None, help="lift through this vertex")
@@ -136,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated vertex set to lift through")
     p.add_argument("--target-color", type=int, default=None)
     p.add_argument("--target", default=None, help="target coloring file (subgraph mode)")
-    p.add_argument("--max-colorings", type=int, default=DEFAULT_MAX_COLORINGS)
 
     p = add_parser("verify", help="verify a named lemma by brute force")
     p.add_argument("lemma", help="reduc-lem barbell k4k2 short-theta prism "

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, ParameterError, PreconditionError
-from .graphs import Graph
+from .graphs import Graph, _bits, _components
 
 ListAssignment = tuple  # tuple[frozenset[int], ...]
 Coloring = tuple  # tuple[int, ...]
@@ -134,7 +134,7 @@ def _extensions(g: Graph, lists: ListAssignment, phi, vertices):
     phi = list(phi)
     vertices = list(vertices)
     order = [sorted(lists[v]) for v in vertices]
-    near = [sum(1 << w for w in g.adj[v]) for v in vertices]
+    near = [g.masks[v] for v in vertices]
     masks = dict.fromkeys(set().union(*order), 0)
     for v, c in enumerate(phi):
         if c is not None:
@@ -222,15 +222,18 @@ def _component(g: Graph, phi, v: int, pair,
     """
     if v in absent or phi[v] not in pair:
         return frozenset()
-    comp = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for w in g.adj[x]:
-            if w not in comp and w not in absent and phi[w] in pair:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
+    return next((comp for comp in _pair_components(g, phi, pair, absent) if v in comp),
+                frozenset())
+
+
+def _pair_components(g: Graph, phi, pair,
+                     absent: frozenset[int] = frozenset()) -> list[frozenset[int]]:
+    """All components of the two-colored subgraph of g minus the absent vertices.
+
+    Ordered by lowest vertex; uncolored vertices (None) are never in the pair.
+    """
+    s = sum(1 << x for x, c in enumerate(phi) if c in pair and x not in absent)
+    return [frozenset(_bits(comp)) for comp in _components(g.masks, s)]
 
 
 @dataclass(frozen=True)
@@ -308,6 +311,8 @@ def partial_component(g: Graph, phi, v: int, pair, absent: frozenset[int]) -> fr
 def classify_swap_partial(g: Graph, lists: ListAssignment, phi, move: SwapMove,
                           absent: frozenset[int]) -> SwapOutcome:
     """classify_swap on g minus the absent vertices."""
+    if not 0 <= move.anchor < g.n:
+        raise ParameterError(f"anchor {move.anchor} out of range")
     if move.anchor in absent:
         raise ParameterError(f"anchor {move.anchor} is not a vertex of the reduced graph")
     return _classify(g, lists, phi, move, absent)

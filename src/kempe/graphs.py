@@ -9,6 +9,7 @@ graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import Counter
@@ -67,12 +68,19 @@ class Graph:
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
+    @functools.cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each vertex's neighborhood as a bitmask, built once per graph."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
+
 
 def from_edges(n: int, edges, labels=None) -> Graph:
     """Build a Graph from an edge iterable, validating simplicity."""
     adj: list[set[int]] = [set() for _ in range(n)]
     seen = set()
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParameterError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ParameterError(f"loop at vertex {u}")
         key = (min(u, v), max(u, v))
@@ -85,24 +93,43 @@ def from_edges(n: int, edges, labels=None) -> Graph:
                  tuple(labels) if labels is not None else None)
 
 
+def _components(adjm, s: int) -> tuple[int, ...]:
+    """Component masks of the subgraph induced by the vertex mask s, by lowest vertex.
+
+    adjm holds each vertex's neighborhood mask (Graph.masks).  This is the one
+    component search: graph components, Kempe components and the flood's
+    component memo all come from it.
+    """
+    comps = []
+    while s:
+        comp = s & -s
+        frontier = comp
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adjm[low.bit_length() - 1]
+            frontier = nxt & s & ~comp
+            comp |= frontier
+        s &= ~comp
+        comps.append(comp)
+    return tuple(comps)
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices of a mask in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest vertex."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return [_bits(comp) for comp in _components(g.masks, (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:

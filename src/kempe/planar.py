@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -271,12 +272,10 @@ class _SearchBudget:
                               self.limit)
 
 
-def all_cycles(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET,
-               counter: _SearchBudget | None = None) -> list[tuple[int, ...]]:
+def all_cycles(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> list[tuple[int, ...]]:
     """Every simple cycle, as a canonical tuple: least vertex first, lesser
     neighbor second, so each cycle appears exactly once."""
-    counter = counter if counter is not None else _SearchBudget(budget)
-    return _cycles_up_to(g, None, counter)[0]
+    return _cycles_up_to(g, None, _SearchBudget(budget))[0]
 
 
 def _cycles_up_to(g: Graph, max_len: int | None,
@@ -315,10 +314,10 @@ def _cycles_up_to(g: Graph, max_len: int | None,
     return cycles, cut
 
 
-def all_paths_between(g: Graph, u: int, v: int, budget: int = DEFAULT_SEARCH_BUDGET,
-                      counter: _SearchBudget | None = None) -> list[tuple[int, ...]]:
-    """Every simple u,v-path as a vertex tuple from u to v."""
-    counter = counter if counter is not None else _SearchBudget(budget)
+def all_paths_between(g: Graph, u: int, v: int,
+                      counter: _SearchBudget) -> list[tuple[int, ...]]:
+    """Every simple u,v-path as a vertex tuple from u to v, sorted by (length,
+    tuple); each search step is spent from counter."""
     paths = []
 
     def extend(path: list[int], on_path: set[int]):
@@ -341,7 +340,6 @@ def all_paths_between(g: Graph, u: int, v: int, budget: int = DEFAULT_SEARCH_BUD
 
 def _shortest_join(g: Graph, source: set[int], target: set[int]) -> tuple[int, ...] | None:
     """Shortest path from one vertex set to another; interior avoids both."""
-    from collections import deque
     parent = {v: None for v in source}
     queue = deque(sorted(source))
     while queue:
@@ -592,7 +590,7 @@ def _detect_theta(g: Graph, budget: int) -> ConfigWitness | None:
     for u, v in itertools.combinations(range(g.n), 2):
         if g.degree(u) < 3 or g.degree(v) < 3:
             continue
-        paths = all_paths_between(g, u, v, counter=counter)
+        paths = all_paths_between(g, u, v, counter)
         for parity in (0, 1):
             group = [p for p in paths if (len(p) - 1) % 2 == parity]
             interiors = [frozenset(p[1:-1]) for p in group]

@@ -26,8 +26,8 @@ from .coloring import (
     SwapMove,
     _check,
     _classify,
-    _component,
     _extensions,
+    _pair_components,
     _require_bound,
     _require_budget,
     check_coloring,
@@ -38,7 +38,7 @@ from .coloring import (
     partial_component,
 )
 from .errors import BudgetError, KempeError, ParameterError, PreconditionError
-from .graphs import Graph, induced_subgraph, is_connected, is_gallai_tree, slack_order
+from .graphs import Graph, _components, induced_subgraph, is_connected, is_gallai_tree, slack_order
 
 
 # ---------------------------------------------------------------------------
@@ -56,25 +56,6 @@ def _component_memo(n: int, adj) -> dict[int, tuple[int, ...]]:
     {1,2,3} (393,216 colorings) mixing_classes leaves 6,765 entries, 2 MiB.
     """
     return {}
-
-
-def _components(adjm, s: int) -> tuple[int, ...]:
-    """Component masks of the subgraph induced by the vertex mask s, by lowest vertex."""
-    comps = []
-    while s:
-        comp = s & -s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= adjm[low.bit_length() - 1]
-            frontier = nxt & s & ~comp
-            comp |= frontier
-        s &= ~comp
-        comps.append(comp)
-    return tuple(comps)
 
 
 class ReconfigSpace:
@@ -97,7 +78,6 @@ class ReconfigSpace:
         self.cindex = {c: i for i, c in enumerate(self.universe)}
         self.k = len(self.universe)
         self.n = n = g.n
-        self.adjm = [sum(1 << w for w in g.adj[v]) for v in range(n)]
         self.bits = [{c: 1 << self.cindex[c] * n + v for c in s} for v, s in enumerate(lists)]
         # allowed is the key of all (vertex, color) pairs that L allows, so the
         # low n bits of ~(allowed >> i*n) are the vertices whose lists lack i.
@@ -132,7 +112,7 @@ class ReconfigSpace:
         g, n = self.g, self.n
         _require_bound(g, self.lists, self.max_colorings)
         order = [[self.cindex[c] for c in sorted(s)] for s in self.lists]
-        back = [sum(1 << w for w in g.adj[v] if w < v) for v in range(n)]
+        back = [m & (1 << v) - 1 for v, m in enumerate(g.masks)]
         masks = [0] * self.k
         first = []
 
@@ -162,7 +142,7 @@ class ReconfigSpace:
             mi, mj = masks[i], masks[j]
             comps = memo.get(mi | mj)
             if comps is None:
-                comps = memo[mi | mj] = _components(self.adjm, mi | mj)
+                comps = memo[mi | mj] = _components(self.g.masks, mi | mj)
             bad = mi & not_j | mj & not_i
             for comp in comps:
                 if not comp & bad:
@@ -587,17 +567,6 @@ def lift_through_vertex(g: Graph, lists: ListAssignment, v: int, start: Coloring
 # ---------------------------------------------------------------------------
 # Versatile extensions and lifting through a subgraph
 # ---------------------------------------------------------------------------
-
-def _pair_components(g: Graph, phi, pair, absent: frozenset[int]) -> list[frozenset[int]]:
-    """All components of the two-colored subgraph, ignoring absent vertices."""
-    todo = {x for x in range(g.n) if x not in absent and phi[x] in pair}
-    comps = []
-    while todo:
-        comp = _component(g, phi, min(todo), pair, absent)
-        todo -= comp
-        comps.append(comp)
-    return comps
-
 
 def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partial,
                              w: int, pair) -> Coloring:

@@ -37,6 +37,11 @@ class TestGraphType:
         with pytest.raises(ParameterError):
             from_edges(2, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("edge", [(1, 5), (3, 3), (-1, 0), (0, -2)])
+    def test_validation_rejects_endpoints_out_of_range(self, edge):
+        with pytest.raises(ParameterError, match="outside 0..2"):
+            from_edges(3, [(0, 1), edge])
+
     def test_validation_rejects_asymmetry(self):
         with pytest.raises(ParameterError):
             Graph(2, ((1,), ()))

@@ -259,6 +259,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
 
+    @pytest.mark.parametrize("edge", ["1 5", "-1 2"])
+    def test_edge_endpoint_out_of_range_is_input_error(self, edge, tmp_path, capsys):
+        graph_file = tmp_path / "g.el"
+        lists_file = tmp_path / "l.lists"
+        graph_file.write_text(f"3 2\n0 1\n{edge}\n")
+        lists_file.write_text("0: 1 2\n1: 1 2\n2: 1 2\n")
+        code = main(["colorings", "--graph", str(graph_file), "--lists", str(lists_file)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "outside 0..2" in captured.err
+
+    @pytest.mark.parametrize("mode", [["--vertex", "0"], ["--subgraph", "0"]])
+    @pytest.mark.parametrize("anchor", ["5", "-1"])
+    def test_lift_move_anchor_out_of_range_is_input_error(self, mode, anchor, tmp_path, capsys):
+        # P2 with lists {1,2,3}/{1,2}: "1: 1 2" lifts; any other anchor is no vertex.
+        files = {"graph": "2 1\n0 1\n", "lists": "0: 1 2 3\n1: 1 2\n",
+                 "start": "0: 3\n1: 1\n", "moves": f"{anchor}: 1 2\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["lift"] + mode + [arg for name in files
+                                  for arg in (f"--{name}", str(tmp_path / name))]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"anchor {anchor} out of range" in captured.err
+
     def test_input_error_exit_code(self, capsys):
         assert main(["gen", "cycle(2)"]) == 3
         capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Graph constructions, isomorphism, automorphisms and face tracing against networkx as an oracle.
+"""Graph constructions, components, isomorphism, automorphisms and face tracing against networkx as an oracle.
 
 networkx is a test dependency only; kempe never imports it.
 """
@@ -12,9 +12,11 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kempe.coloring import _pair_components, kempe_component, partial_component
 from kempe.graphs import (
     automorphisms,
     cartesian_product,
+    connected_components,
     from_edges,
     is_connected,
     is_isomorphic,
@@ -132,3 +134,29 @@ def test_trace_faces_satisfies_euler_on_networkx_embeddings(g):
     assert g.n - g.m + len(traced) == 2
     assert sorted(f.length for f in traced) == sorted(len(f) for f in faces)
     assert sum(f.length for f in traced) == 2 * g.m
+
+
+def nx_components(g, keep) -> list[list[int]]:
+    """networkx's components of the subgraph induced by keep, sorted, by lowest vertex."""
+    comps = nx.connected_components(to_nx(g).subgraph(keep))
+    return sorted(sorted(c) for c in comps)
+
+
+@SETTINGS
+@given(g=graphs(max_n=10), data=st.data())
+def test_component_searches_are_networkx_components(g, data):
+    assert connected_components(g) == nx_components(g, range(g.n))
+    # Any coloring, proper or not, and an absent set whose vertices keep
+    # their colors: the search must leave them out by absent alone.
+    phi = tuple(data.draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n)))
+    absent = frozenset(data.draw(st.sets(st.integers(0, g.n - 1))))
+    for pair in itertools.combinations((1, 2, 3), 2):
+        whole = nx_components(g, [x for x in range(g.n) if phi[x] in pair])
+        part = nx_components(g, [x for x in range(g.n) if phi[x] in pair and x not in absent])
+        assert [sorted(c) for c in _pair_components(g, phi, pair, frozenset())] == whole
+        assert [sorted(c) for c in _pair_components(g, phi, pair, absent)] == part
+        for v in range(g.n):
+            assert kempe_component(g, phi, v, pair[::-1]) == \
+                next((set(c) for c in whole if v in c), set())
+            assert partial_component(g, phi, v, pair[::-1], absent) == \
+                next((set(c) for c in part if v in c), set())
