@@ -8,8 +8,10 @@ over one class: mixing classes, swappability, the explicit graph and shortest
 paths are each a few lines over it.  It holds one int per coloring, the
 per-color vertex bitmasks side by side, so a swap is one XOR and its list
 validity a few integer operations; two-colored components come from a memo
-shared by every space on the same graph.  Public results are always plain
-colorings in the deterministic order produced by enumerate_L_colorings.
+shared by every space on the same graph.  Frozen colorings come from a
+coloring search that cuts each branch where some one-vertex swap is L-valid.
+Public results are always plain colorings in the deterministic order
+produced by enumerate_L_colorings.
 """
 
 from __future__ import annotations
@@ -102,12 +104,13 @@ class ReconfigSpace:
         is no L-coloring.  The same budget check as enumerate_L_colorings
         comes before any work.
 
-        This is the one coloring search besides coloring._extensions, kept
-        because is_L_swappable runs it on every assignment of a verify run:
-        a plain counting recursion that keeps only the first coloring takes
-        0.12 s over the 1,517 assignments of the barbell, short-theta, prism
-        and k4k2 lemmas at cap 4, against 0.21 s for counting the colorings
-        that generator yields (Python 3.11, one core of a 2-core x86-64 box).
+        This and frozen are the two coloring searches besides
+        coloring._extensions.  This one is kept because is_L_swappable runs
+        it on every assignment of a verify run: a plain counting recursion
+        that keeps only the first coloring takes 0.12 s over the 1,517
+        assignments of the barbell, short-theta, prism and k4k2 lemmas at
+        cap 4, against 0.21 s for counting the colorings that generator
+        yields (Python 3.11, one core of a 2-core x86-64 box).
         """
         g, n = self.g, self.n
         _require_bound(g, self.lists, self.max_colorings)
@@ -161,6 +164,51 @@ class ReconfigSpace:
         """Whether the L-coloring phi admits no L-valid swap."""
         return next(self.neighbors(self.key_of(phi)), None) is None
 
+    def frozen(self) -> list[Coloring]:
+        """The frozen L-colorings, in enumerate_L_colorings order, by a pruned search.
+
+        Vertices are colored in order, colors ascending, as enumeration does.
+        Once the closed neighborhood of a vertex v is colored, the branch is
+        cut if some color c in L(v) other than phi(v) is on no neighbor of v.
+        No completion of it is frozen: no neighbor has phi(v), by properness,
+        or c, so the {phi(v), c}-component of v is {v} alone, and swapping it
+        gives v the color c of its list, an L-valid swap.  Each coloring that
+        survives gets the full test, is_frozen's, at its leaf, and only those
+        that pass become tuples.  On K4xK2 with lists {1..6} every branch is
+        cut, where the unpruned filter tests all 65,160 colorings.  The same
+        budget check as enumerate_L_colorings comes before any work.
+        """
+        g, n = self.g, self.n
+        _require_bound(g, self.lists, self.max_colorings)
+        order = [[self.cindex[c] for c in sorted(s)] for s in self.lists]
+        back = [m & (1 << v) - 1 for v, m in enumerate(g.masks)]
+        # closes[u]: the vertices whose closed neighborhood is colored once u is.
+        closes = [[] for _ in range(n)]
+        for v, m in enumerate(g.masks):
+            closes[max(v, m.bit_length() - 1)].append((v, m, order[v]))
+        masks = [0] * self.k
+        phi = [0] * n
+        out = []
+
+        def descend(u: int) -> None:
+            if u == n:
+                key = sum(m << i * n for i, m in enumerate(masks))
+                if next(self.neighbors(key), None) is None:
+                    out.append(tuple(self.universe[i] for i in phi))
+                return
+            bit = 1 << u
+            for c in order[u]:
+                if not masks[c] & back[u]:
+                    masks[c] |= bit
+                    phi[u] = c
+                    if not any(d != phi[v] and not masks[d] & near
+                               for v, near, ds in closes[u] for d in ds):
+                        descend(u + 1)
+                    masks[c] ^= bit
+
+        descend(0)
+        return out
+
     def flood(self, start: int, seen: dict, goal: int | None = None, stop_at: int = 0) -> None:
         """Search the class of start, a key already in seen.
 
@@ -172,28 +220,44 @@ class ReconfigSpace:
         shortest path.  Without one it is depth-first, which reaches a whole
         class sooner: over the verify-exhaustive lemma set, is_L_swappable
         expands 57,362 colorings depth-first against 82,981 breadth-first.
+
+        The swap loop is neighbors' own, inline, in the same order (color
+        pair, then component), so a coloring is reached from the same key
+        as by iterating neighbors; it saves a generator resume per swap edge.
         """
-        neighbors = self.neighbors
+        n, memo, adjm, pairs = self.n, self.memo, self.g.masks, self.pairs
+        full = (1 << n) - 1
+        shifts = [i * n for i in range(self.k)]
         frontier = deque([start])
         take = frontier.pop if goal is None else frontier.popleft
         while frontier:
             key = take()
-            for new in neighbors(key):
-                if new not in seen:
-                    seen[new] = key
-                    if new == goal or len(seen) == stop_at:
-                        return
-                    frontier.append(new)
+            masks = [key >> s & full for s in shifts]
+            for i, j, not_i, not_j, spread in pairs:
+                mi, mj = masks[i], masks[j]
+                comps = memo.get(mi | mj)
+                if comps is None:
+                    comps = memo[mi | mj] = _components(adjm, mi | mj)
+                bad = mi & not_j | mj & not_i
+                for comp in comps:
+                    if not comp & bad:
+                        new = key ^ comp * spread
+                        if new not in seen:
+                            seen[new] = key
+                            if new == goal or len(seen) == stop_at:
+                                return
+                            frontier.append(new)
 
 
 def _classes(space: ReconfigSpace):
-    """Yield the key and class number of every L-coloring, in space.colorings order.
+    """Yield the class number of every L-coloring, in space.colorings order.
 
     Classes are numbered 0, 1, ... in the order of their first colorings.
     Each is flooded into one dict from its first coloring, then the
-    colorings that flood added are renumbered in place; every coloring is
-    converted to its key once.  A flood stops once the dict holds every
-    coloring: on K4xK2 with lists {1..6}, one class, that halves it.
+    colorings that flood added are renumbered in place.  A flood stops once
+    the dict holds every coloring: on K4xK2 with lists {1..6}, one class,
+    that halves it.  When the first flood reaches every coloring, each
+    number is 0 and no other coloring is converted to its key.
     """
     seen: dict = {}
     number = 0
@@ -203,12 +267,15 @@ def _classes(space: ReconfigSpace):
         if start not in seen:
             seen[start] = None
             space.flood(start, seen, stop_at=total)
+            if len(seen) == total and not number:
+                yield from itertools.repeat(0, total)
+                return
             for key in reversed(seen):
                 seen[key] = number
                 if key == start:
                     break
             number += 1
-        yield start, seen[start]
+        yield seen[start]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +319,7 @@ def mixing_classes(g: Graph, lists: ListAssignment,
     exactly the classes of one coloring (a swap always changes the coloring).
     """
     space = ReconfigSpace(g, lists, max_colorings)
-    return MixingReport.from_classes(space.colorings, (c for _, c in _classes(space)))
+    return MixingReport.from_classes(space.colorings, _classes(space))
 
 
 def is_L_swappable(g: Graph, lists: ListAssignment,
@@ -285,13 +352,11 @@ def build_reconfig_graph(g: Graph, lists: ListAssignment,
     Its colorings and component_ids make the MixingReport of the same space.
     """
     space = ReconfigSpace(g, lists, max_colorings)
-    index, ids = {}, []
-    for a, (key, c) in enumerate(_classes(space)):
-        index[key] = a
-        ids.append(c)
+    ids = tuple(_classes(space))
+    index = {space.key_of(phi): a for a, phi in enumerate(space.colorings)}
     edges = sorted((a, index[new], space.move_between(key, new))
                    for key, a in index.items() for new in space.neighbors(key) if a < index[new])
-    return ReconfigGraph(tuple(space.colorings), tuple(edges), tuple(ids))
+    return ReconfigGraph(tuple(space.colorings), tuple(edges), ids)
 
 
 # ---------------------------------------------------------------------------

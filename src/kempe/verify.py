@@ -386,7 +386,13 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
         for lists, failure in results:
             checked += 1
             if failure is not None:
+                # Leaving the block terminates the workers, busy on later assignments.
                 return finish("counterexample", checked, counterexample=lists, detail=failure)
+        if workers > 1:
+            # Every result is in: the workers are told to exit and are waited
+            # for, not terminated, which once hung a run with idle workers.
+            pool.close()
+            pool.join()
     # The pool is closed, so no other thread reads the stream any more.
     for _ in stream:  # an item is left (None stands for a skipped assignment)
         return finish("budget-exceeded", checked, detail=f"stopped after {checked} assignments")
@@ -408,8 +414,7 @@ def degree_swappable_verdict(g: Graph, cap: int = 4, sample: int | None = None,
 def frozen_colorings(g: Graph, lists: ListAssignment,
                      max_colorings: int = DEFAULT_MAX_COLORINGS) -> list[Coloring]:
     """All L-colorings with no incident L-valid swap."""
-    space = ReconfigSpace(g, lists, max_colorings)
-    return [phi for phi in space.colorings if space.is_frozen(phi)]
+    return ReconfigSpace(g, lists, max_colorings).frozen()
 
 
 # ---------------------------------------------------------------------------

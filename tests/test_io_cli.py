@@ -215,6 +215,26 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    def test_frozen_budget_errors(self, tmp_path, capsys):
+        # C4 with lists {1,2,3}: the list-size product is 81.
+        graph_file = tmp_path / "c4.el"
+        lists_file = tmp_path / "l.lists"
+        graph_file.write_text("4 4\n0 1\n0 3\n1 2\n2 3\n")
+        lists_file.write_text("0: 1 2 3\n1: 1 2 3\n2: 1 2 3\n3: 1 2 3\n")
+        argv = ["frozen", "--graph", str(graph_file), "--lists", str(lists_file),
+                "--max-colorings"]
+        for budget in ("80", "0"):
+            assert main(argv + [budget]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"budget exceeded: coloring space bound 81 exceeds budget {budget}\n"
+        assert main(argv + ["-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: max_colorings must be at least 0, got -1\n"
+        assert main(argv + ["81"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0 frozen colorings"
+
     @pytest.mark.parametrize("command",
                              ["colorings", "mix", "frozen", "path", "lift", "lift-vertex"])
     def test_negative_max_colorings_is_input_error(self, command, tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -286,6 +287,87 @@ def _random_lists_case(rng: random.Random):
     top = rng.randrange(2, 6)
     return g, make_lists([rng.sample(range(1, top + 1), rng.randrange(1, top + 1))
                           for _ in range(n)])
+
+
+def _bfs_reference(space, start: int, goal=None, stop_at: int = 0) -> dict:
+    """A plain breadth-first search over space.neighbors: key -> the key it was reached from."""
+    seen = {start: None}
+    frontier = deque([start])
+    while frontier:
+        key = frontier.popleft()
+        for new in space.neighbors(key):
+            if new not in seen:
+                seen[new] = key
+                if new == goal or len(seen) == stop_at:
+                    return seen
+                frontier.append(new)
+    return seen
+
+
+class TestFloodOracle:
+    def test_flood_agrees_with_a_search_over_neighbors(self):
+        rng = random.Random(1517)
+        goals_met, cut = 0, 0
+        for _ in range(150):
+            g, lists = _random_lists_case(rng)
+            space = ReconfigSpace(g, lists)
+            keys = [space.key_of(phi) for phi in space.colorings]
+            if not keys:
+                continue
+            start, goal = rng.choice(keys), rng.choice(keys)
+            whole = _bfs_reference(space, start)
+            # No goal: depth-first, the same class.
+            seen = {start: None}
+            space.flood(start, seen)
+            assert seen.keys() == whole.keys()
+            # A goal: breadth-first, the same links in the same order.
+            seen = {start: None}
+            space.flood(start, seen, goal)
+            assert list(seen.items()) == list(_bfs_reference(space, start, goal).items())
+            goals_met += goal in whole and goal != start
+            # stop_at: the search stops once seen holds that many colorings.
+            stop_at = rng.randrange(2, len(whole) + 2)  # seen starts with one
+            for target in (None, goal):
+                seen = {start: None}
+                space.flood(start, seen, target, stop_at)
+                assert seen.keys() <= whole.keys()
+                if target is None:
+                    assert len(seen) == min(stop_at, len(whole))
+                else:
+                    assert list(seen.items()) == list(
+                        _bfs_reference(space, start, goal, stop_at).items())
+            cut += stop_at < len(whole)
+        assert goals_met > 20 and cut > 20
+
+
+class TestClassNumbers:
+    def test_mixing_ids_equal_the_explicit_graph_and_networkx_components(self):
+        # One class takes _classes' shortcut, several take the renumbering
+        # loop; both must number classes by their first colorings.
+        import networkx as nx
+
+        rng = random.Random(1518)
+        named = [(fam("cycle(4)"), FROZEN_C4_LISTS), (fam("cycle(6)"), make_lists([{1, 2}] * 6)),
+                 (cartesian_product(fam("clique(3)"), fam("clique(2)")),
+                  make_lists([{1, 2, 3}] * 6)),
+                 (fam("cycle(4)"), make_lists([{1, 2, 3}] * 4))]
+        kinds = Counter()
+        # Random cases until each branch has been taken 25 times; about one
+        # in fifteen has several classes.
+        while min(kinds[1], kinds[2]) < 25:
+            assert sum(kinds.values()) < 3000
+            g, lists = named.pop() if named else _random_lists_case(rng)
+            report = mixing_classes(g, lists)
+            rg = build_reconfig_graph(g, lists)
+            explicit = nx.Graph()
+            explicit.add_nodes_from(range(len(rg.colorings)))
+            explicit.add_edges_from((a, b) for a, b, _ in rg.edges)
+            least = {a: min(comp) for comp in nx.connected_components(explicit) for a in comp}
+            number = {a: i for i, a in enumerate(sorted(set(least.values())))}
+            expected = tuple(number[least[a]] for a in range(len(rg.colorings)))
+            assert report.component_ids == rg.component_ids == expected
+            assert report.colorings == rg.colorings
+            kinds[min(report.class_count, 2)] += 1
 
 
 class TestFusedSwappability:

@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kempe.coloring import DEFAULT_MAX_COLORINGS, make_lists
 from kempe.errors import ParameterError
 from kempe.graphs import automorphisms, from_edges, generate, is_connected, line_graph, parse_family
-from kempe.reconfig import ClassConstraint, is_L_swappable, mixing_classes, subset_mixes
+from kempe.reconfig import (
+    ClassConstraint,
+    ReconfigSpace,
+    is_L_swappable,
+    mixing_classes,
+    subset_mixes,
+)
 from kempe.verify import (
     _cor_fix_one_failure,
     _cor_fix_two_failure,
@@ -250,6 +261,34 @@ class TestOrbitSkipping:
         assert {"verified", "counterexample", "budget-exceeded"} <= set(verdicts)
 
 
+# Each run repeats on a fresh pool: a verified run and a budget-cut run, whose
+# pools are closed and joined once every result is in, and a counterexample
+# run, whose pool is terminated early.
+_POOL_RUNS = """
+from kempe.graphs import generate, line_graph, parse_family
+from kempe.verify import degree_swappable_verdict
+
+theta = line_graph(generate(parse_family("theta(1,3,3)")))
+cycle = generate(parse_family("cycle(6)"))
+for _ in range(6):
+    assert degree_swappable_verdict(theta, cap=4, workers=2).verdict == "verified"
+    assert degree_swappable_verdict(theta, cap=4, max_assignments=50,
+                                    workers=2).verdict == "budget-exceeded"
+    assert degree_swappable_verdict(cycle, cap=3, workers=2).verdict == "counterexample"
+print("done")
+"""
+
+
+class TestPoolExit:
+    def test_two_worker_runs_always_return(self):
+        src = str(Path(sys.modules["kempe"].__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _POOL_RUNS], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "done\n"), proc.stderr
+
+
 class TestVerifyLemma:
     def test_unknown_id_rejected(self):
         with pytest.raises(ParameterError, match="unknown lemma"):
@@ -320,6 +359,46 @@ class TestFrozenColorings:
             order_sizes = [g.degree(v) + 1 for v in range(g.n)]
             assert slack_order(g, order_sizes) is not None
             assert frozen_colorings(g, lists) == []
+
+    def test_pruned_search_equals_the_filter_over_every_coloring(self):
+        # The pruned search against the unpruned filter, is_frozen on every
+        # coloring, in the same order.  Named corners first: the frozen
+        # 4-cycle of criterion 1, the empty graph, isolated vertices and
+        # lists shorter than the degree; then seeded random graphs with tight
+        # lists (size = degree, where colorings freeze), slack lists and
+        # short lists.
+        corners = [
+            (fam("cycle(4)"), [{1, 2}, {2, 3}, {3, 4}, {4, 1}]),
+            (from_edges(0, []), []),
+            (from_edges(3, []), [{1}, {1, 2}, {2, 3}]),
+            (from_edges(4, [(0, 1)]), [{2}, {1, 2}, {5}, {1, 3}]),
+            (fam("clique(4)"), [{1, 2}, {2, 3}, {1, 3}, {1, 2, 3}]),
+            (fam("cycle(5)"), [{1, 2}] * 5),
+        ]
+        rng = random.Random(1515)
+        cases, with_frozen = 0, 0
+        while cases < 1200:
+            if corners:
+                g, lists = corners.pop(0)
+            else:
+                n, p = rng.randrange(1, 9), rng.choice((0.2, 0.4, 0.6))
+                g = from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < p])
+                palette = range(1, rng.randrange(3, 8))
+                kind = cases % 3
+                sizes = [max(1, min(len(palette), g.degree(v) + (kind == 1)
+                                    - (kind == 2) * rng.randrange(0, 3)))
+                         for v in range(n)]
+                if math.prod(sizes) > 4000:
+                    continue
+                lists = [rng.sample(palette, size) for size in sizes]
+            lists = make_lists(lists)
+            space = ReconfigSpace(g, lists)
+            expected = [phi for phi in space.colorings if space.is_frozen(phi)]
+            assert frozen_colorings(g, lists) == expected, (g.adj, lists)
+            cases += 1
+            with_frozen += bool(expected)
+        assert with_frozen >= 200
 
 
 class TestSlackOrder:
