@@ -136,11 +136,12 @@ class ReconfigSpace:
         total = descend(0)
         return total, (first[0] if first else None)
 
-    def neighbors(self, key: int):
-        """Yield the key of every coloring one L-valid swap away, by color pair, then component."""
+    def neighbors(self, key: int) -> list[int]:
+        """The key of every coloring one L-valid swap away, by color pair, then component."""
         n, memo = self.n, self.memo
         full = (1 << n) - 1
         masks = [key >> i * n & full for i in range(self.k)]
+        out = []
         for i, j, not_i, not_j, spread in self.pairs:
             mi, mj = masks[i], masks[j]
             comps = memo.get(mi | mj)
@@ -149,7 +150,8 @@ class ReconfigSpace:
             bad = mi & not_j | mj & not_i
             for comp in comps:
                 if not comp & bad:
-                    yield key ^ comp * spread
+                    out.append(key ^ comp * spread)
+        return out
 
     def move_between(self, key: int, new: int) -> SwapMove:
         """The normalized swap taking key to its neighbor new."""
@@ -162,7 +164,7 @@ class ReconfigSpace:
 
     def is_frozen(self, phi: Coloring) -> bool:
         """Whether the L-coloring phi admits no L-valid swap."""
-        return next(self.neighbors(self.key_of(phi)), None) is None
+        return not self.neighbors(self.key_of(phi))
 
     def frozen(self) -> list[Coloring]:
         """The frozen L-colorings, in enumerate_L_colorings order, by a pruned search.
@@ -193,7 +195,7 @@ class ReconfigSpace:
         def descend(u: int) -> None:
             if u == n:
                 key = sum(m << i * n for i, m in enumerate(masks))
-                if next(self.neighbors(key), None) is None:
+                if not self.neighbors(key):
                     out.append(tuple(self.universe[i] for i in phi))
                 return
             bit = 1 << u
@@ -220,33 +222,18 @@ class ReconfigSpace:
         shortest path.  Without one it is depth-first, which reaches a whole
         class sooner: over the verify-exhaustive lemma set, is_L_swappable
         expands 57,362 colorings depth-first against 82,981 breadth-first.
-
-        The swap loop is neighbors' own, inline, in the same order (color
-        pair, then component), so a coloring is reached from the same key
-        as by iterating neighbors; it saves a generator resume per swap edge.
         """
-        n, memo, adjm, pairs = self.n, self.memo, self.g.masks, self.pairs
-        full = (1 << n) - 1
-        shifts = [i * n for i in range(self.k)]
+        neighbors = self.neighbors
         frontier = deque([start])
         take = frontier.pop if goal is None else frontier.popleft
         while frontier:
             key = take()
-            masks = [key >> s & full for s in shifts]
-            for i, j, not_i, not_j, spread in pairs:
-                mi, mj = masks[i], masks[j]
-                comps = memo.get(mi | mj)
-                if comps is None:
-                    comps = memo[mi | mj] = _components(adjm, mi | mj)
-                bad = mi & not_j | mj & not_i
-                for comp in comps:
-                    if not comp & bad:
-                        new = key ^ comp * spread
-                        if new not in seen:
-                            seen[new] = key
-                            if new == goal or len(seen) == stop_at:
-                                return
-                            frontier.append(new)
+            for new in neighbors(key):
+                if new not in seen:
+                    seen[new] = key
+                    if new == goal or len(seen) == stop_at:
+                        return
+                    frontier.append(new)
 
 
 def _classes(space: ReconfigSpace):

@@ -389,8 +389,7 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
                 # Leaving the block terminates the workers, busy on later assignments.
                 return finish("counterexample", checked, counterexample=lists, detail=failure)
         if workers > 1:
-            # Every result is in: the workers are told to exit and are waited
-            # for, not terminated, which once hung a run with idle workers.
+            # Close and join once every result is in; terminate only on an early return.
             pool.close()
             pool.join()
     # The pool is closed, so no other thread reads the stream any more.
