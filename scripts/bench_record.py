@@ -3,7 +3,9 @@
 Runs `perfbench/run.py` on every workload that BENCHMARK.json lists, for its
 `run_seconds`, in 10 pairs that alternate the two checkouts (the order flips
 on every other pair, so a slow drift of the machine weighs on both sides
-alike), then the tier-1 test suite once per checkout with per-test durations.
+alike), then one traced run (`--trace 1`) per checkout and workload for the
+per-layer metrics, then the tier-1 test suite once per checkout with
+per-test durations.
 Writes one JSON document with the end-to-end metrics of BENCHMARK.json and,
 for each workload and metric, the verdict: `claim_holds` when the change wins
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -35,6 +37,7 @@ from pathlib import Path
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+LAYERS = [m["name"] for m in BENCHMARK["per_layer"]]
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 CRITERIA = ("test_criterion_5_barbell_lemma", "test_criterion_6_k4k2_lemma",
@@ -48,14 +51,15 @@ def run(argv: list[str], checkout: str, **env) -> subprocess.CompletedProcess:
                               env=dict(os.environ, PYTHONPYCACHEPREFIX=cache, **env))
 
 
-def perfbench(checkout: str, workload: str, seed: int) -> dict:
+def perfbench(checkout: str, workload: str, seed: int, trace: int = 0) -> dict:
     proc = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(SECONDS), "--trace", "0"], checkout)
+                "--seconds", str(SECONDS), "--trace", str(trace)], checkout)
     proc.check_returncode()
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} is not clean: {result}")
-    return {name: result["metrics"][name]["value"] for name in METRICS}
+    return {name: result["metrics"][name]["value"]
+            for name in (LAYERS if trace else METRICS) if name in result["metrics"]}
 
 
 def summary(values: list[float]) -> dict:
@@ -120,6 +124,9 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "seconds_per_run": SECONDS,
         "workloads": {w: compare_workload(args.before, args.after, w) for w in WORKLOADS},
+        "traced_seed_1": {w: {side: perfbench(checkout, w, 1, trace=1) for side, checkout
+                              in (("before", args.before), ("after", args.after))}
+                          for w in WORKLOADS},
         "tier1": {"before": tier1(args.before), "after": tier1(args.after)},
     }
     b, a = (record["tier1"][side]["criteria_5_7_s"] for side in ("before", "after"))

@@ -1,0 +1,75 @@
+"""Run a fixed `kempe` CLI corpus under several Python interpreters and compare.
+
+Each interpreter runs every command of the corpus with PYTHONPATH=src and no
+pytest.  The script exits nonzero if any command's stdout or exit code under
+a later interpreter differs from what the first interpreter printed:
+
+    python3 scripts/smoke_pythons.py /usr/bin/python3.10 /usr/bin/python3.13
+
+The corpus: `discharge` with both variants and `audit` with both variants on
+three plane graphs from tests/plane_corpus.py, `verify short-theta --cap 4`,
+and `verify k4k2 --cap 6 --sample 20 --workers 2`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from plane_corpus import cube, random_plane_min2, wheel  # noqa: E402
+
+from kempe.io import write_rotation_system  # noqa: E402
+
+PLANES = {"cube.rot": cube(), "wheel9.rot": wheel(9), "min2_20_8.rot": random_plane_min2(20, 8)}
+
+
+def corpus() -> list[list[str]]:
+    commands = [[command, "--plane", name, "--variant", variant]
+                for name in PLANES for command in ("discharge", "audit")
+                for variant in ("lemma1", "lemma2")]
+    return commands + [["verify", "short-theta", "--cap", "4"],
+                       ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"]]
+
+
+def run_all(python: str, workdir: str) -> list[tuple[int, str]]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = []
+    for argv in corpus():
+        proc = subprocess.run([python, "-m", "kempe.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, text=True, timeout=600)
+        out.append((proc.returncode, proc.stdout))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("pythons", nargs="+", help="interpreter paths; the first is the reference")
+    args = parser.parse_args(argv)
+    commands = corpus()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, pg in PLANES.items():
+            Path(workdir, name).write_text(write_rotation_system(pg))
+        results = {python: run_all(python, workdir) for python in args.pythons}
+    reference = results[args.pythons[0]]
+    bad = 0
+    for python, got in results.items():
+        version = subprocess.run([python, "--version"], capture_output=True, text=True)
+        differ = [" ".join(cmd) for cmd, a, b in zip(commands, got, reference) if a != b]
+        codes = " ".join(str(code) for code, _ in got)
+        print(f"{python} ({(version.stdout or version.stderr).strip()}): "
+              f"{len(commands) - len(differ)}/{len(commands)} identical, exit codes {codes}")
+        for cmd in differ:
+            print(f"  differs: {cmd}")
+        bad += bool(differ)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,18 +1,32 @@
-"""Exact-rational discharging ledgers for the two structural-lemma rule systems.
+"""Exact discharging ledgers for the two structural-lemma rule systems.
 
 Charges start at d(v)-4 per vertex and len(f)-4 per face, plus one pot with
 charge 0 per component of the relevant special subgraph (G3 for the first
 rule system, G2 for the second).  For a connected plane graph the initial
 total is exactly -8.  Rules move charge through an append-only transfer log;
 within one rule all transfers are computed from the state before that rule,
-and rules apply in sequence.  Everything is a Fraction; no floats anywhere.
+and rules apply in sequence.
+
+No floats anywhere.  The ledger keeps every charge as a whole number of
+units of 1/D, where D = lcm(6, 2d for each degree d >= 5 in the graph), and
+every amount a rule moves is on that lattice:
+
+- R1 moves 1/2 or 1.
+- R2 moves remaining/d per corner of a d-vertex, d >= 5.  Charges start as
+  integers and R1 moves halves and wholes, so the remaining charge is a
+  multiple of 1/2, and D is a multiple of 2d.
+- R3 and R4 move multiples of 1/3 or 1/2, and 6 divides D.
+- R5 returns a vertex charge, which is already on the lattice.
+
+A move off the lattice is an internal error.  Fractions appear only in what
+a report shows: transfer amounts, the public charge lists and the totals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KempeError, ParameterError, PreconditionError
@@ -22,7 +36,7 @@ from .planar import PlaneGraph, extract_special_subgraph, trace_faces
 Holder = tuple  # ("v", id) | ("f", index) | ("pot", index)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transfer:
     source: Holder
     sink: Holder
@@ -47,34 +61,51 @@ def _holder_name(h: Holder) -> str:
     return {"v": "vertex", "f": "face", "pot": "pot"}[tag] + f" {idx}"
 
 
-@dataclass
 class ChargeLedger:
-    """Exact charge per holder plus the full transfer log."""
+    """Charge per holder in whole units of 1/scale, plus the full transfer log.
 
-    vertex: list[Fraction]
-    face: list[Fraction]
-    pot: list[Fraction]
-    transfers: list[Transfer] = field(default_factory=list)
+    units maps each holder tag ("v", "f", "pot") to its list of unit counts.
+    vertex, face and pot are the same charges as Fractions, as of the last
+    publish(); run_discharging publishes once its rules are done.
+    """
+
+    def __init__(self, scale: int, vertex: list[int], face: list[int], pot: list[int]):
+        self.scale = scale
+        self.units = {"v": vertex, "f": face, "pot": pot}
+        self.transfers: list[Transfer] = []
+        self._fractions: dict[int, Fraction] = {}
+        self.publish()
+
+    def _fraction(self, units: int) -> Fraction:
+        """units/scale; one shared Fraction per distinct count."""
+        value = self._fractions.get(units)
+        if value is None:
+            value = self._fractions[units] = Fraction(units, self.scale)
+        return value
+
+    def publish(self) -> None:
+        """Set vertex, face and pot to the current charges as Fractions."""
+        self.vertex, self.face, self.pot = ([self._fraction(u) for u in self.units[tag]]
+                                            for tag in ("v", "f", "pot"))
 
     def charge(self, holder: Holder) -> Fraction:
-        return self._bucket(holder)[holder[1]]
+        return self._fraction(self.units[holder[0]][holder[1]])
+
+    def unit_total(self) -> int:
+        return sum(map(sum, self.units.values()))
 
     def total(self) -> Fraction:
-        """Re-sum every holder: in integers over the least common denominator,
-        which skips the gcd that each Fraction addition takes."""
-        charges = self.vertex + self.face + self.pot
-        den = math.lcm(*(c.denominator for c in charges))
-        return Fraction(sum(c.numerator * (den // c.denominator) for c in charges), den)
+        return Fraction(self.unit_total(), self.scale)
 
-    def move(self, source: Holder, sink: Holder, amount: Fraction, rule: str) -> None:
-        if amount == 0:
-            return
-        self.transfers.append(Transfer(source, sink, amount, rule))
-        self._bucket(source)[source[1]] -= amount
-        self._bucket(sink)[sink[1]] += amount
-
-    def _bucket(self, holder: Holder) -> list[Fraction]:
-        return {"v": self.vertex, "f": self.face, "pot": self.pot}[holder[0]]
+    def move(self, source: Holder, sink: Holder, units: int, rule: str) -> None:
+        """Move units/scale of charge from source to sink and log the transfer."""
+        if type(units) is not int:
+            raise KempeError(f"internal: {rule} moves {units} units of 1/{self.scale}, "
+                             f"off the charge lattice")
+        if units:
+            self.transfers.append(Transfer(source, sink, self._fraction(units), rule))
+            self.units[source[0]][source[1]] -= units
+            self.units[sink[0]][sink[1]] += units
 
 
 @dataclass(frozen=True)
@@ -95,14 +126,16 @@ class DischargeReport:
         for i, verts in enumerate(self.pots_vertices):
             lines.append(f"pot {i}: component vertices {list(verts)}")
         rules = [rule for rule, _ in self.rule_totals]
+        scale = self.ledger.scale
         deltas: defaultdict[Holder, Counter] = defaultdict(Counter)
         for t in self.ledger.transfers:
-            deltas[t.source][t.rule] -= t.amount
-            deltas[t.sink][t.rule] += t.amount
+            units = t.amount.numerator * (scale // t.amount.denominator)
+            deltas[t.source][t.rule] -= units
+            deltas[t.sink][t.rule] += units
         for holder, charge in _all_holders(self.ledger):
             start = self.initial[holder]
-            moves = " ".join(f"{rule}:{_signed(deltas[holder][rule])}" for rule in rules
-                             if deltas[holder][rule] != 0)
+            moves = " ".join(f"{rule}:{_signed(Fraction(deltas[holder][rule], scale))}"
+                             for rule in rules if deltas[holder][rule] != 0)
             parts = [f"{_holder_name(holder)}: initial {start}"]
             if moves:
                 parts.append(moves)
@@ -138,15 +171,16 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
                       for comp in connected_components(sub.graph)]
     pot_of = {v: i for i, comp in enumerate(pot_components) for v in comp}
 
-    ledger = ChargeLedger(
-        vertex=[Fraction(g.degree(v) - 4) for v in range(g.n)],
-        face=[Fraction(f.length - 4) for f in faces],
-        pot=[Fraction(0)] * len(pot_components))
+    degrees = [g.degree(v) for v in range(g.n)]
+    scale = math.lcm(6, *(2 * d for d in set(degrees) if d >= 5))
+    ledger = ChargeLedger(scale, [(d - 4) * scale for d in degrees],
+                          [(f.length - 4) * scale for f in faces], [0] * len(pot_components))
     initial = dict(_all_holders(ledger))
     expected_total = ledger.total()
     if expected_total != -8:
         raise KempeError(f"initial charge total is {expected_total}, not -8; "
                          f"embedding or input is broken")
+    expected_units = -8 * scale
 
     # Per-vertex face incidences (with multiplicity: one per corner).
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -162,17 +196,18 @@ def run_discharging(pg: PlaneGraph, variant: str) -> DischargeReport:
     rule_totals = []
 
     def close_rule(rule: str) -> None:
-        total = ledger.total()
-        if total != expected_total:
-            raise KempeError(f"charge not conserved after {rule}: total {total}")
-        rule_totals.append((rule, total))
+        if ledger.unit_total() != expected_units:
+            raise KempeError(f"charge not conserved after {rule}: total {ledger.total()}")
+        rule_totals.append((rule, expected_total))
 
     if variant == "lemma1":
         _rules_lemma1(g, sub, pot_of, ledger, incidence, faces, close_rule)
     else:
         _rules_lemma2(g, sub, pot_of, ledger, incidence, faces, close_rule)
 
-    negative = tuple((h, c) for h, c in _all_holders(ledger) if c < 0)
+    ledger.publish()
+    negative = tuple(((tag, i), ledger._fraction(u)) for tag, units in ledger.units.items()
+                     for i, u in enumerate(units) if u < 0)
     return DischargeReport(variant, ledger, initial, tuple(pot_components), negative,
                            rule_totals[-1][1], tuple(rule_totals), tuple(events))
 
@@ -191,9 +226,9 @@ def _rules_lemma1(g: Graph, sub, pot_of, ledger, incidence, faces, close_rule) -
     # maximum-degree vertex acts only as a taker.
     for v in range(g.n):
         if g.degree(v) == delta and delta > 3 and any(g.degree(w) == 3 for w in g.adj[v]):
-            ledger.move(("v", v), ("pot", pot_of[v]), Fraction(1, 2), "R1")
+            ledger.move(("v", v), ("pot", pot_of[v]), ledger.scale // 2, "R1")
     for v in three:
-        ledger.move(("pot", pot_of[v]), ("v", v), Fraction(1), "R1")
+        ledger.move(("pot", pot_of[v]), ("v", v), ledger.scale, "R1")
     close_rule("R1")
     _rule_spread_five_plus(g, ledger, incidence, "R2")
     close_rule("R2")
@@ -206,7 +241,7 @@ def _rules_lemma1(g: Graph, sub, pot_of, ledger, incidence, faces, close_rule) -
             continue
         for fi, count in incidence[v]:
             if faces[fi].length >= 4:
-                amount = Fraction(1, 2) * count
+                amount = ledger.scale // 2 * count
                 ledger.move(("f", fi), ("v", v), amount, "R3")
                 ledger.move(("v", v), ("pot", pot_of[v]), amount, "R3")
     close_rule("R3")
@@ -219,17 +254,18 @@ def _rules_lemma2(g: Graph, sub, pot_of, ledger, incidence, faces, close_rule) -
     # pays 1 into its pot; every 2-vertex of G2 draws 1 from its pot.
     for v in sorted(in_sub):
         if g.degree(v) >= 15:
-            ledger.move(("v", v), ("pot", pot_of[v]), Fraction(1), "R1")
+            ledger.move(("v", v), ("pot", pot_of[v]), ledger.scale, "R1")
     for v in sorted(in_sub):
         if g.degree(v) == 2:
-            ledger.move(("pot", pot_of[v]), ("v", v), Fraction(1), "R1")
+            ledger.move(("pot", pot_of[v]), ("v", v), ledger.scale, "R1")
     close_rule("R1")
     _rule_spread_five_plus(g, ledger, incidence, "R2")
     close_rule("R2")
+    third = ledger.scale // 3
     for v in range(g.n):
         if g.degree(v) == 3:
             for fi, count in incidence[v]:
-                ledger.move(("f", fi), ("v", v), Fraction(1, 3) * count, "R3")
+                ledger.move(("f", fi), ("v", v), third * count, "R3")
     close_rule("R3")
     # R4. Per incidence: 1/3 from a 3-face, 2/3 from a 4-face whose boundary
     # is a 2-alternating cycle (a cycle of G2), 1 from any other 4+-face.
@@ -248,32 +284,36 @@ def _rules_lemma2(g: Graph, sub, pot_of, ledger, incidence, faces, close_rule) -
         for fi, count in incidence[v]:
             length = faces[fi].length
             if length == 3:
-                amount = Fraction(1, 3)
+                amount = third
             elif length == 4 and fi in alternating:
-                amount = Fraction(2, 3)
+                amount = 2 * third
             else:
-                amount = Fraction(1)
+                amount = ledger.scale
             ledger.move(("f", fi), ("v", v), amount * count, "R4")
     close_rule("R4")
     # R5. Surplus at a 2-vertex of G2 returns to its pot.
+    vertex = ledger.units["v"]
     for v in sorted(in_sub):
-        if g.degree(v) == 2 and ledger.vertex[v] > 0:
-            ledger.move(("v", v), ("pot", pot_of[v]), ledger.vertex[v], "R5")
+        if g.degree(v) == 2 and vertex[v] > 0:
+            ledger.move(("v", v), ("pot", pot_of[v]), vertex[v], "R5")
     close_rule("R5")
 
 
 def _rule_spread_five_plus(g: Graph, ledger, incidence, rule: str) -> None:
     """Every 5+-vertex splits its remaining charge equally per face incidence."""
+    vertex = ledger.units["v"]
     for v in range(g.n):
         d = g.degree(v)
         if d < 5:
             continue
-        remaining = ledger.vertex[v]
-        share = remaining / d
+        share, off = divmod(vertex[v], d)
+        if off:
+            raise KempeError(f"internal: {rule} splits {ledger.charge(('v', v))} at vertex {v} "
+                             f"{d} ways, off the 1/{ledger.scale} charge lattice")
         for fi, count in incidence[v]:
             ledger.move(("v", v), ("f", fi), share * count, rule)
-        if ledger.vertex[v] != 0:
-            raise KempeError(f"internal: {rule} left {ledger.vertex[v]} at vertex {v}")
+        if vertex[v] != 0:
+            raise KempeError(f"internal: {rule} left {ledger.charge(('v', v))} at vertex {v}")
 
 
 def _on_four_cycle(sub: Graph, v: int) -> bool:

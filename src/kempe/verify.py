@@ -156,11 +156,36 @@ def _set_to_mask(colors) -> int:
     return mask
 
 
-def canonicalize_assignment(lists, cap: int) -> ListAssignment:
-    """The orbit representative of a list assignment under color permutation."""
+def _assignment_masks(lists, cap: int) -> tuple[int, ...]:
     masks = tuple(_set_to_mask(s) for s in lists)
     if any(m >> cap for m in masks):
         raise ParameterError(f"assignment uses colors above the cap {cap}")
+    return masks
+
+
+def canonicalize_assignment(lists, cap: int) -> ListAssignment:
+    """The orbit representative of a list assignment under color permutation.
+
+    The representative is the least image of the mask tuple under all color
+    permutations.  Some permutation maps masks[0] to any mask of its size, so
+    the least image starts with the least mask of that size.  Only the tables
+    in _lead_tables(cap)[masks[0]], and the identity, can give such an image;
+    every other permutation loses at position 0.
+    """
+    masks = _assignment_masks(lists, cap)
+    leads = _lead_tables(cap)
+    best = masks
+    for table in leads[masks[0]] if masks else ():
+        image = tuple([table[m] for m in masks])
+        if image < best:
+            best = image
+    return tuple(_mask_to_set(m) for m in best)
+
+
+def canonicalize_assignment_reference(lists, cap: int) -> ListAssignment:
+    """canonicalize_assignment by comparing the images under every color
+    permutation; the oracle for the lead-table shortcut."""
+    masks = _assignment_masks(lists, cap)
     best = masks
     for table in _perm_tables(cap):
         image = tuple(table[m] for m in masks)
@@ -233,7 +258,8 @@ def count_assignment_orbits_reference(sizes, cap: int, group=()) -> int:
     perms = [tuple(range(len(sizes))), *group]
     seen = set()
     for raw in itertools.product(*options):
-        seen.add(frozenset(canonicalize_assignment([frozenset(raw[v]) for v in sigma], cap)
+        seen.add(frozenset(canonicalize_assignment_reference([frozenset(raw[v]) for v in sigma],
+                                                             cap)
                            for sigma in perms))
     return len(seen)
 

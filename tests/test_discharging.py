@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,11 @@ from plane_corpus import (
 )
 
 from kempe import discharging
+from kempe import io as kio
+from kempe.cli import main
 from kempe.errors import KempeError, ParameterError, PreconditionError
 from kempe.graphs import Graph
-from kempe.planar import PlaneGraph, plane_graph_from_faces
+from kempe.planar import PlaneGraph, plane_graph_from_faces, trace_faces
 from kempe.discharging import ChargeLedger, run_discharging
 
 
@@ -61,7 +65,6 @@ class TestConservation:
         pg = random_triangulation(14, 9)
         report = run_discharging(pg, "lemma1")
         g = pg.graph
-        from kempe.planar import trace_faces
         faces = trace_faces(pg)
         vertex = [Fraction(g.degree(v) - 4) for v in range(g.n)]
         face = [Fraction(f.length - 4) for f in faces]
@@ -78,32 +81,91 @@ class TestConservation:
 
 
     def test_total_equals_a_plain_fraction_sum(self):
+        # Random ledgers on the lattice of a random scale, random moves, then
+        # total() against a plain Fraction sum over the public charges.
         rng = random.Random(13)
 
-        def charges(k):
-            return [Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 5, 6, 7, 12, 15)))
+        def units(k, scale):
+            return [rng.randrange(-40, 41) * (scale // rng.choice((1, 2, 3, 6)))
                     for _ in range(k)]
 
         for _ in range(300):
-            ledger = ChargeLedger(charges(rng.randrange(0, 12)), charges(rng.randrange(0, 12)),
-                                  charges(rng.randrange(0, 4)))
-            if rng.random() < 0.3 and ledger.vertex:
-                ledger.vertex[0] = Fraction(0)
+            scale = math.lcm(6, *(2 * d for d in rng.sample(range(5, 16), rng.randrange(0, 4))))
+            ledger = ChargeLedger(scale, units(rng.randrange(1, 12), scale),
+                                  units(rng.randrange(1, 12), scale),
+                                  units(rng.randrange(0, 4), scale))
+            if rng.random() < 0.3:
+                ledger.units["v"][0] = 0
+                ledger.publish()
+            before = sum(ledger.vertex + ledger.face + ledger.pot, Fraction(0))
+            assert ledger.total() == before
+            holders = [(tag, i) for tag, charges in ledger.units.items()
+                       for i in range(len(charges))]
+            for _ in range(rng.randrange(0, 20)):
+                ledger.move(rng.choice(holders), rng.choice(holders),
+                            rng.randrange(-3 * scale, 3 * scale), "R1")
+            ledger.publish()
             expected = sum(ledger.vertex + ledger.face + ledger.pot, Fraction(0))
-            assert ledger.total() == expected
+            assert ledger.total() == expected == before
             assert ledger.total().denominator == expected.denominator
+            assert all(ledger.charge(h) == Fraction(ledger.units[h[0]][h[1]], scale)
+                       for h in holders)
 
     def test_charge_changed_outside_move_is_caught(self, monkeypatch):
         spread = discharging._rule_spread_five_plus
 
         def leaky_spread(g, ledger, incidence, rule):
             spread(g, ledger, incidence, rule)
-            ledger.face[0] += Fraction(1, 3)  # not a transfer: charge appears
+            ledger.units["f"][0] += ledger.scale // 3  # not a transfer: 1/3 appears
 
         monkeypatch.setattr(discharging, "_rule_spread_five_plus", leaky_spread)
         for variant in ("lemma1", "lemma2"):
             with pytest.raises(KempeError, match="charge not conserved after R2: total -23/3"):
                 run_discharging(icosahedron(), variant)
+
+    def test_off_lattice_move_is_an_internal_error(self):
+        ledger = ChargeLedger(6, [6, -6], [0], [])
+        for amount in (Fraction(1, 7), Fraction(6), 0.5, 3.0):
+            with pytest.raises(KempeError, match="internal: R1 moves .* units of 1/6, "
+                                                 "off the charge lattice"):
+                ledger.move(("v", 0), ("f", 0), amount, "R1")
+        assert ledger.units == {"v": [6, -6], "f": [0], "pot": []}
+        assert ledger.transfers == []
+
+    def test_r2_share_off_the_lattice_is_an_internal_error(self):
+        # The hub of wheel(5) has degree 5 and charge 1: six units of 1/6
+        # do not split five ways.
+        pg = wheel(5)
+        g = pg.graph
+        faces = trace_faces(pg)
+        ledger = ChargeLedger(6, [(g.degree(v) - 4) * 6 for v in range(g.n)],
+                              [(f.length - 4) * 6 for f in faces], [])
+        incidence = [[(fi, f.vertices().count(v)) for fi, f in enumerate(faces)
+                      if v in f.vertices()] for v in range(g.n)]
+        with pytest.raises(KempeError, match="internal: R2 splits 1 at vertex 5 5 ways, "
+                                             "off the 1/6 charge lattice"):
+            discharging._rule_spread_five_plus(g, ledger, incidence, "R2")
+        assert ledger.transfers == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestDischargeGolden:
+    # Full `kempe discharge` stdout, pinned from the Fraction-based ledger.
+    # wheel(9) has a 9-vertex hub, so D = 18 and R2's shares are 1/2 each.
+    @pytest.mark.parametrize("name, pg, variant", [
+        ("wheel9_lemma1", wheel(9), "lemma1"),
+        ("k4_minus_edge_lemma2", k4_minus_edge_embedded(), "lemma2"),
+        ("plane_min2_20_8_lemma1", random_plane_min2(20, 8), "lemma1"),
+        ("plane_min2_20_8_lemma2", random_plane_min2(20, 8), "lemma2"),
+    ])
+    def test_stdout_is_pinned(self, name, pg, variant, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("plane.rot").write_text(kio.write_rotation_system(pg))
+        code = main(["discharge", "--plane", "plane.rot", "--variant", variant])
+        assert capsys.readouterr().out == (GOLDEN / f"discharge_{name}.txt").read_text()
+        assert code == 1  # each of these ledgers has a negative holder
 
 
 class TestLemma1Rules:

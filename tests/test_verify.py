@@ -30,6 +30,7 @@ from kempe.verify import (
     MAX_CAP,
     AssignmentStream,
     canonicalize_assignment,
+    canonicalize_assignment_reference,
     count_assignment_orbits_reference,
     degree_swappable_verdict,
     enumerate_degree_assignments,
@@ -84,6 +85,20 @@ class TestCanonicalStream:
         assert one == two and len(one) == 25
         for lists in one:
             assert canonicalize_assignment(lists, 4) == lists
+
+    def test_lead_tables_agree_with_every_permutation(self):
+        # Seeded random draws at caps 3-6, with a first list of every size
+        # from 0 to the cap, and later lists of any size.
+        rng = random.Random(21)
+        for cap in range(3, 7):
+            for first in range(cap + 1):
+                for _ in range(60):
+                    lists = [frozenset(rng.sample(range(1, cap + 1), first))]
+                    lists += [frozenset(rng.sample(range(1, cap + 1), rng.randrange(cap + 1)))
+                              for _ in range(rng.randrange(7))]
+                    assert canonicalize_assignment(lists, cap) == \
+                        canonicalize_assignment_reference(lists, cap), (lists, cap)
+        assert canonicalize_assignment([], 4) == canonicalize_assignment_reference([], 4) == ()
 
     def test_cap_below_size_rejected(self):
         with pytest.raises(ParameterError):
@@ -265,6 +280,9 @@ class TestOrbitSkipping:
 # pools are closed and joined once every result is in, and a counterexample
 # run, whose pool is terminated early.
 _POOL_RUNS = """
+import faulthandler
+faulthandler.dump_traceback_later(100, exit=True)  # a hang prints every thread's stack
+
 from kempe.graphs import generate, line_graph, parse_family
 from kempe.verify import degree_swappable_verdict
 
