@@ -7,8 +7,10 @@ a later interpreter differs from what the first interpreter printed:
     python3 scripts/smoke_pythons.py /usr/bin/python3.10 /usr/bin/python3.13
 
 The corpus: `discharge` with both variants and `audit` with both variants on
-three plane graphs from tests/plane_corpus.py, `verify short-theta --cap 4`,
-and `verify k4k2 --cap 6 --sample 20 --workers 2`.
+three plane graphs from tests/plane_corpus.py, `mix` on K3xK2 with lists
+{1,2,3} and on K4xK2 with lists {1..5}, which flood color-renaming orbits,
+`verify short-theta --cap 4`, and `verify k4k2 --cap 6 --sample 20
+--workers 2`.
 """
 
 from __future__ import annotations
@@ -25,15 +27,21 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from plane_corpus import cube, random_plane_min2, wheel  # noqa: E402
 
-from kempe.io import write_rotation_system  # noqa: E402
+from kempe.coloring import make_lists  # noqa: E402
+from kempe.graphs import cartesian_product, generate, parse_family  # noqa: E402
+from kempe.io import write_edge_list, write_lists, write_rotation_system  # noqa: E402
 
 PLANES = {"cube.rot": cube(), "wheel9.rot": wheel(9), "min2_20_8.rot": random_plane_min2(20, 8)}
+# (graph file, lists file) -> (first and second factor of the product, list size)
+SPACES = {("k3k2.el", "k3k2_3.lists"): ("clique(3)", "clique(2)", 3),
+          ("k4k2.el", "k4k2_5.lists"): ("clique(4)", "clique(2)", 5)}
 
 
 def corpus() -> list[list[str]]:
     commands = [[command, "--plane", name, "--variant", variant]
                 for name in PLANES for command in ("discharge", "audit")
                 for variant in ("lemma1", "lemma2")]
+    commands += [["mix", "--graph", graph, "--lists", lists] for graph, lists in SPACES]
     return commands + [["verify", "short-theta", "--cap", "4"],
                        ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"]]
 
@@ -56,6 +64,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, pg in PLANES.items():
             Path(workdir, name).write_text(write_rotation_system(pg))
+        for (graph, lists), (first, second, colors) in SPACES.items():
+            g = cartesian_product(generate(parse_family(first)), generate(parse_family(second)))
+            Path(workdir, graph).write_text(write_edge_list(g))
+            Path(workdir, lists).write_text(write_lists(make_lists([range(1, colors + 1)] * g.n)))
         results = {python: run_all(python, workdir) for python in args.pythons}
     reference = results[args.pythons[0]]
     bad = 0

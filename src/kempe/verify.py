@@ -108,11 +108,27 @@ def _is_prefix_canonical(prefix: list[int], tables) -> bool:
     return True
 
 
+class _LeadTables(dict):
+    """For each mask, the tables of _perm_tables that map it to the least mask of its size.
+
+    An entry scans all cap!-1 tables, so each is built when first asked
+    for: a run meets few of the 2^cap masks.
+    """
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.tables = _perm_tables(cap)
+
+    def __missing__(self, mask: int) -> tuple[tuple[int, ...], ...]:
+        least = (1 << bin(mask).count("1")) - 1
+        leads = self[mask] = tuple(t for t in self.tables if t[mask] == least)
+        return leads
+
+
 @functools.lru_cache(maxsize=None)
-def _lead_tables(cap: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """For each mask, the tables of _perm_tables that map it to the least mask of its size."""
-    return {mask: tuple(t for t in _perm_tables(cap) if t[mask] == (1 << bin(mask).count("1")) - 1)
-            for mask in range(1 << cap)}
+def _lead_tables(cap: int) -> _LeadTables:
+    """The lead tables at cap, shared by every caller in the process."""
+    return _LeadTables(cap)
 
 
 def _orbit_least(masks: tuple[int, ...], auts, leads) -> bool:

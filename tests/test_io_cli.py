@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +15,11 @@ from kempe import io as kio
 from kempe.cli import main
 from kempe.coloring import SwapMove, make_lists
 from kempe.errors import ParameterError
-from kempe.graphs import from_edges, generate, parse_family
+from kempe.graphs import cartesian_product, from_edges, generate, line_graph, parse_family
 from kempe.reconfig import build_reconfig_graph
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fam(text):
@@ -372,6 +376,25 @@ class TestMixReport:
         sizes = [int(line.split()[3]) for line in report.splitlines() if line.startswith("class ")]
         assert sum(sizes) == len(rg.colorings)
         assert code == (0 if len(classes) <= 1 else 1)
+
+
+class TestMixGolden:
+    # Full `kempe mix` stdout, pinned from the coloring-by-coloring flood.
+    # The lists {1..k} on every vertex make every color renaming a symmetry.
+    PRISM = cartesian_product(fam("clique(3)"), fam("clique(2)"))
+
+    @pytest.mark.parametrize("name, g, colors, extra, code", [
+        ("mix_k4k2_6", cartesian_product(fam("clique(4)"), fam("clique(2)")), 6, [], 0),
+        ("mix_k3k2_3", PRISM, 3, [], 1),
+        ("mix_dot_k3k2_3", PRISM, 3, ["--dot"], 1),
+        ("mix_lk33_3", line_graph(fam("complete_bipartite(3,3)")), 3, [], 1),
+    ])
+    def test_stdout_is_pinned(self, name, g, colors, extra, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.el").write_text(kio.write_edge_list(g))
+        (tmp_path / "g.lists").write_text(kio.write_lists(make_lists([range(1, colors + 1)] * g.n)))
+        assert main(["mix", *extra, "--graph", "g.el", "--lists", "g.lists"]) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 class TestCounterexampleReplay:

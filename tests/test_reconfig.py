@@ -340,6 +340,102 @@ class TestFloodOracle:
         assert goals_met > 20 and cut > 20
 
 
+def _types_reference(lists) -> list[list[int]]:
+    """The types of two or more colors, from the lists alone: colors that
+    exactly the same vertices' lists hold, ascending."""
+    holders: dict = {}
+    for c in sorted(set().union(*lists)):
+        holders.setdefault(frozenset(v for v, s in enumerate(lists) if c in s), []).append(c)
+    return [t for t in holders.values() if len(t) > 1]
+
+
+def _canon_reference(lists, phi):
+    """The canonical member of phi's orbit: within each type, the colors in
+    order of first use along the vertices are renamed to the type's colors
+    in ascending order."""
+    rename = {}
+    for t in _types_reference(lists):
+        used = list(dict.fromkeys(c for c in phi if c in t))
+        rename.update(zip(used, t))
+    return tuple(rename.get(c, c) for c in phi)
+
+
+def _orbit_case(rng: random.Random, kind: str):
+    """A random graph with uniform, two-block or asymmetric lists."""
+    n = rng.randrange(2, 7)
+    g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+    if kind == "uniform":
+        return g, make_lists([range(1, rng.randrange(2, 5) + 1)] * n)
+    if kind == "blocks":
+        a = set(range(1, rng.randrange(2, 4) + 1))
+        b = set(range(len(a) + 1, len(a) + rng.randrange(2, 4) + 1))
+        return g, make_lists([rng.choice((a, b, a | b)) for _ in range(n)])
+    return g, make_lists([rng.sample(range(1, 6), rng.randrange(1, 5)) for _ in range(n)])
+
+
+class TestColorOrbits:
+    def test_orbit_flood_agrees_with_a_search_over_colorings(self):
+        # The oracle numbers the classes by a plain breadth-first search over
+        # neighbors on colorings; the canonical forms and the orbit count
+        # come from the lists alone.  K3xK2, L(K3,3) and K3xK2 beside an edge,
+        # with lists {1,2,3}, have two classes each; random draws seldom have
+        # several.
+        rng = random.Random(1818)
+        prism = cartesian_product(fam("clique(3)"), fam("clique(2)"))
+        cases = [(prism, make_lists([{1, 2, 3}] * 6)),
+                 (line_graph(fam("complete_bipartite(3,3)")), make_lists([{1, 2, 3}] * 9)),
+                 (from_edges(8, [*prism.edges(), (6, 7)]), make_lists([{1, 2, 3}] * 8))]
+        cases += [_orbit_case(rng, kind) for kind in ("uniform", "blocks", "asymmetric")
+                  for _ in range(40)]
+        symmetric = several = paths = 0
+        for g, lists in cases:
+            space = ReconfigSpace(g, lists)
+            colorings = space.colorings
+            keys = [space.key_of(phi) for phi in colorings]
+            number: dict = {}
+            for key in keys:
+                if key not in number:
+                    count = len(set(number.values()))
+                    number.update(dict.fromkeys(_bfs_reference(space, key), count))
+            ids = tuple(number[key] for key in keys)
+            sizes = Counter(ids)
+            reps = tuple(colorings[ids.index(c)] for c in range(len(sizes)))
+            frozen = tuple(phi for phi, c in zip(colorings, ids) if sizes[c] == 1)
+
+            report = mixing_classes(g, lists)
+            assert report.component_ids == ids
+            assert (report.representatives, report.frozen) == (reps, frozen)
+            assert build_reconfig_graph(g, lists).component_ids == ids
+            assert is_L_swappable(g, lists) == (len(sizes) <= 1)
+
+            canon = [space.key_of(_canon_reference(lists, phi)) for phi in colorings]
+            assert [space.canon(key) for key in keys] == canon
+            first = keys[0] if keys else None
+            assert space.count_colorings(orbits=True) == (len(set(canon)), first)
+            # Each class floods, over orbits, to the canonical forms of its colorings.
+            for c in range(len(sizes)):
+                start = canon[ids.index(c)]
+                seen = {start: None}
+                space.flood(start, seen, orbits=True)
+                assert seen.keys() == {k for k, i in zip(canon, ids) if i == c}
+            # Shortest paths stay on colorings.
+            for _ in range(3 if keys else 0):
+                a, b = rng.randrange(len(keys)), rng.randrange(len(keys))
+                path = equivalence_path(g, lists, colorings[a], colorings[b])
+                if ids[a] != ids[b]:
+                    assert path is None
+                    continue
+                trail = _bfs_reference(space, keys[a], keys[b])
+                steps, key = 0, keys[b]
+                while trail[key] is not None:
+                    key, steps = trail[key], steps + 1
+                assert len(path) == steps
+                paths += steps > 1
+            symmetric += bool(_types_reference(lists))
+            several += len(sizes) > 1
+        assert symmetric > 80 and several == 3 and paths > 30
+
+
 class TestClassNumbers:
     def test_mixing_ids_equal_the_explicit_graph_and_networkx_components(self):
         # One class takes _classes' shortcut, several take the renumbering
