@@ -4,8 +4,9 @@ Runs `perfbench/run.py` on every workload that BENCHMARK.json lists, for its
 `run_seconds`, in 10 pairs that alternate the two checkouts (the order flips
 on every other pair, so a slow drift of the machine weighs on both sides
 alike), then one traced run (`--trace 1`) per checkout and workload for the
-per-layer metrics, then the tier-1 test suite once per checkout with
-per-test durations.
+per-layer metrics.  Then it times each tier-1 criterion of CRITERIA, run
+alone with `-k`, in 10 pairs that alternate the checkouts the same way, and
+runs the whole tier-1 suite once per checkout for its wall time.
 Writes one JSON document with the end-to-end metrics of BENCHMARK.json and,
 for each workload and metric, the verdict: `claim_holds` when the change wins
 at least 9 of 10 pairs and its median beats the parent's by more than the
@@ -91,24 +92,41 @@ def verdict(b: list[float], a: list[float], metric: dict) -> dict:
             "within_bound": -gain <= metric["bound"] * before["median"]}
 
 
-def tier1(checkout: str) -> dict:
+def pytest(checkout: str, *args: str) -> tuple[float, str, dict]:
+    """Wall seconds, summary line and per-test call seconds of one pytest run."""
     t0 = time.perf_counter()
-    proc = run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0"],
-               checkout, PYTHONPATH="src")
+    proc = run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+                *args], checkout, PYTHONPATH="src")
     wall = time.perf_counter() - t0
     tail = proc.stdout.strip().splitlines()[-1]
     if proc.returncode:
-        raise SystemExit(f"{checkout}: tier-1 is not clean: {tail}")
-    criteria = {}
-    for line in proc.stdout.splitlines():
-        match = re.match(r"\s*([\d.]+)s call\s+\S+::(\w+)", line)
-        if match and match.group(2) in CRITERIA:
-            criteria[match.group(2)] = float(match.group(1))
-    missing = set(CRITERIA) - set(criteria)
-    if missing:
-        raise SystemExit(f"{checkout}: no --durations line for {sorted(missing)}")
-    return {"wall_s": wall, "summary": tail, "criteria_s": criteria,
-            "criteria_5_7_s": sum(criteria.values())}
+        raise SystemExit(f"{checkout}: pytest {' '.join(args)} is not clean: {tail}")
+    calls = (re.match(r"\s*([\d.]+)s call\s+\S+::(\w+)", line)
+             for line in proc.stdout.splitlines())
+    return wall, tail, {match.group(2): float(match.group(1)) for match in calls if match}
+
+
+def compare_criteria(before: str, after: str) -> dict:
+    runs = {name: {"before": [], "after": []} for name in CRITERIA}
+    for pair in range(PAIRS):
+        sides = [("before", before), ("after", after)]
+        for name in CRITERIA:
+            for side, checkout in sides if pair % 2 == 0 else reversed(sides):
+                _, tail, calls = pytest(checkout, "tests/test_acceptance.py", "-k", name)
+                if list(calls) != [name]:
+                    raise SystemExit(f"{checkout}: -k {name} timed {sorted(calls)} ({tail})")
+                runs[name][side].append(calls[name])
+                print(f"{name} pair {pair + 1} {side}: {calls[name]}", file=sys.stderr)
+    out = {}
+    for name, sides in runs.items():
+        b, a = summary(sides["before"]), summary(sides["after"])
+        out[name] = {"before": b, "after": a, "speedup_of_medians": b["median"] / a["median"]}
+    return out
+
+
+def tier1(checkout: str) -> dict:
+    wall, tail, _ = pytest(checkout)
+    return {"wall_s": wall, "summary": tail}
 
 
 def main(argv=None) -> int:
@@ -127,10 +145,9 @@ def main(argv=None) -> int:
         "traced_seed_1": {w: {side: perfbench(checkout, w, 1, trace=1) for side, checkout
                               in (("before", args.before), ("after", args.after))}
                           for w in WORKLOADS},
+        "criteria_s": compare_criteria(args.before, args.after),
         "tier1": {"before": tier1(args.before), "after": tier1(args.after)},
     }
-    b, a = (record["tier1"][side]["criteria_5_7_s"] for side in ("before", "after"))
-    record["tier1"]["criteria_5_7_speedup"] = b / a
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -9,8 +9,9 @@ a later interpreter differs from what the first interpreter printed:
 The corpus: `discharge` with both variants and `audit` with both variants on
 three plane graphs from tests/plane_corpus.py, `mix` on K3xK2 with lists
 {1,2,3} and on K4xK2 with lists {1..5}, which flood color-renaming orbits,
-`verify short-theta --cap 4`, and `verify k4k2 --cap 6 --sample 20
---workers 2`.
+`verify short-theta --cap 4`, `verify k4k2 --cap 6 --sample 20
+--workers 2`, and an exhaustive two-worker `verify short-theta` on
+theta(1,3,5) that `--max-assignments 200` cuts (exit code 2).
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ def corpus() -> list[list[str]]:
                 for variant in ("lemma1", "lemma2")]
     commands += [["mix", "--graph", graph, "--lists", lists] for graph, lists in SPACES]
     return commands + [["verify", "short-theta", "--cap", "4"],
-                       ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"]]
+                       ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"],
+                       ["verify", "short-theta", "--instance", "theta(1,3,5)", "--cap", "4",
+                        "--max-assignments", "200", "--workers", "2"]]
 
 
 def run_all(python: str, workdir: str) -> list[tuple[int, str]]:

@@ -285,6 +285,7 @@ class ReconfigSpace:
                     masks[c] ^= bit
 
         descend(0)
+        del descend  # it refers to itself, and would hold self until a GC pass
         return out
 
     def flood(self, start: int, seen: dict, goal: int | None = None, stop_at: int = 0,

@@ -54,6 +54,8 @@ DEFAULT_MAX_ASSIGNMENTS = 2_000_000
 #: Bound on the images of one assignment that the orbit test compares: each
 #: automorphism contributes one per color permutation.
 _ORBIT_IMAGES = 10_000
+#: Assignments per worker in the verdict loop's largest batch.
+_BATCH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +371,12 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
     checker replaces the default whole-graph swappability check: it gets
     (g, lists) and returns an error string or None.  It must be picklable
     (a module-level function, or a functools.partial of one) when
-    workers > 1, since every check then runs in a pool of workers.  Stops at
-    the first counterexample in stream order, so the report is the same for
-    any worker count.  max_assignments=None checks the whole stream.
+    workers > 1, since every check then runs in a pool of workers.  Only the
+    calling thread reads the stream, in batches that start at 8 assignments
+    per worker and double up to _BATCH per worker, and each batch is checked
+    in full before the next is drawn.  Stops at the first counterexample in
+    stream order, so the report is the same for any worker count.
+    max_assignments=None checks the whole stream.
 
     An exhaustive run with the default check skips the check on assignments
     that an automorphism of g (one that keeps the sizes), with a color
@@ -407,34 +412,28 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
     stream = enumerate_degree_assignments(spec, group)
     check = checker or functools.partial(_swappable_failure, max_colorings=max_colorings)
     tasks = ((check, g, lists) for lists in itertools.islice(stream, max_assignments))
+    pool, check_batch = contextlib.nullcontext(), functools.partial(map, _check_task)
     if workers > 1:
         # Imported here, not at the top: the import alone adds about 1 MiB to
         # the peak memory of every run that loads this module.
         import multiprocessing
 
         pool = multiprocessing.Pool(workers)
-        results = pool.imap(_check_task, tasks, chunksize=8)
-    else:
-        pool = contextlib.nullcontext()
-        results = map(_check_task, tasks)
+        check_batch = functools.partial(pool.map, _check_task, chunksize=8)
 
     def finish(verdict, checked, **kw):
         return LemmaReport(lemma_id, instance, _mode_string(spec), verdict,
                            assignments_checked=checked, seed=seed,
                            runtime=time.perf_counter() - t0, **kw)
 
-    checked = 0
-    with pool:
-        for lists, failure in results:
-            checked += 1
-            if failure is not None:
-                # Leaving the block terminates the workers, busy on later assignments.
-                return finish("counterexample", checked, counterexample=lists, detail=failure)
-        if workers > 1:
-            # Close and join once every result is in; terminate only on an early return.
-            pool.close()
-            pool.join()
-    # The pool is closed, so no other thread reads the stream any more.
+    checked, size = 0, 8 * workers  # a chunk per worker, so a run that stops early draws few
+    with pool:  # idle between batches, so leaving it terminates no work
+        while batch := list(itertools.islice(tasks, size)):
+            size = min(2 * size, _BATCH * workers)
+            for lists, failure in check_batch(batch):
+                checked += 1
+                if failure is not None:
+                    return finish("counterexample", checked, counterexample=lists, detail=failure)
     for _ in stream:  # an item is left (None stands for a skipped assignment)
         return finish("budget-exceeded", checked, detail=f"stopped after {checked} assignments")
     return finish("verified", checked)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter, deque
 
 import pytest
@@ -486,6 +488,20 @@ class TestFusedSwappability:
             colorings = enumerate_L_colorings(g, lists)
             assert total == count_L_colorings_reference(g, lists) == len(colorings)
             assert first == (space.key_of(colorings[0]) if colorings else None)
+
+    def test_searches_leave_no_cycle_through_the_space(self):
+        # A search closure that refers to itself and holds the space would
+        # keep the space alive until a cyclic GC pass.
+        gc.disable()
+        try:
+            for search in (ReconfigSpace.count_colorings, ReconfigSpace.frozen):
+                space = ReconfigSpace(fam("cycle(4)"), FROZEN_C4_LISTS)
+                assert search(space)
+                alive = weakref.ref(space)
+                del space
+                assert alive() is None, search.__name__
+        finally:
+            gc.enable()
 
     def test_budget_error_carries_the_product_bound(self):
         g = fam("cycle(4)")

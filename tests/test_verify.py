@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import kempe.verify
 from kempe.coloring import DEFAULT_MAX_COLORINGS, make_lists
 from kempe.errors import ParameterError
 from kempe.graphs import automorphisms, from_edges, generate, is_connected, line_graph, parse_family
@@ -206,6 +209,35 @@ class TestDegreeSwappableVerdict:
         assert seq.verdict == verdict
         assert dataclasses.replace(seq, runtime=0.0) == dataclasses.replace(par, runtime=0.0)
 
+    def test_batch_edges_give_identical_reports(self):
+        # A planted failure and a budget at the last assignment of each batch
+        # and at the first of the next.  Batches start at 8 per worker and
+        # double up to _BATCH per worker.
+        g = fam("path(6)")
+        sizes = (2,) * g.n
+        stream = list(enumerate_degree_assignments(AssignmentStream(sizes, 4)))
+        never = functools.partial(_fails_on, None)
+        for workers in (1, 2):
+            ends, size = [0], 8 * workers
+            while ends[-1] < len(stream):
+                ends.append(min(ends[-1] + size, len(stream)))
+                size = min(2 * size, kempe.verify._BATCH * workers)
+            assert ends[-2] - ends[-3] == kempe.verify._BATCH * workers
+            for position in sorted({e + d for e in ends[1:] for d in (0, 1)} - {len(stream) + 1}):
+                target = stream[position - 1]
+                planted = functools.partial(_fails_on, target)
+                report = f_swappable_verdict(g, sizes, cap=4, checker=planted, workers=workers)
+                assert (report.verdict, report.assignments_checked,
+                        report.counterexample) == ("counterexample", position, target)
+                report = f_swappable_verdict(g, sizes, cap=4, max_assignments=position,
+                                             checker=never, workers=workers)
+                assert (report.verdict, report.assignments_checked) == (
+                    "verified" if position == len(stream) else "budget-exceeded", position)
+
+
+def _fails_on(target, g, lists):
+    return "planted" if lists == target else None
+
 
 def _masks(lists):
     return tuple(sum(1 << (c - 1) for c in s) for s in lists)
@@ -276,12 +308,13 @@ class TestOrbitSkipping:
         assert {"verified", "counterexample", "budget-exceeded"} <= set(verdicts)
 
 
-# Each run repeats on a fresh pool: a verified run and a budget-cut run, whose
-# pools are closed and joined once every result is in, and a counterexample
-# run, whose pool is terminated early.
+# Each run repeats on a fresh pool: a verified run, a budget-cut run and a
+# counterexample run.  The pool is idle between batches, so leaving the loop
+# terminates it on every path, and no worker outlives its run.
 _POOL_RUNS = """
 import faulthandler
 faulthandler.dump_traceback_later(100, exit=True)  # a hang prints every thread's stack
+import multiprocessing
 
 from kempe.graphs import generate, line_graph, parse_family
 from kempe.verify import degree_swappable_verdict
@@ -290,9 +323,12 @@ theta = line_graph(generate(parse_family("theta(1,3,3)")))
 cycle = generate(parse_family("cycle(6)"))
 for _ in range(6):
     assert degree_swappable_verdict(theta, cap=4, workers=2).verdict == "verified"
+    assert multiprocessing.active_children() == []
     assert degree_swappable_verdict(theta, cap=4, max_assignments=50,
                                     workers=2).verdict == "budget-exceeded"
+    assert multiprocessing.active_children() == []
     assert degree_swappable_verdict(cycle, cap=3, workers=2).verdict == "counterexample"
+    assert multiprocessing.active_children() == []
 print("done")
 """
 
@@ -305,6 +341,24 @@ class TestPoolExit:
         proc = subprocess.run([sys.executable, "-c", _POOL_RUNS], capture_output=True,
                               text=True, timeout=120, env=env)
         assert (proc.returncode, proc.stdout) == (0, "done\n"), proc.stderr
+
+    def test_only_the_main_thread_reads_the_stream(self, monkeypatch):
+        drawn_by = []
+        stream = kempe.verify.enumerate_degree_assignments
+
+        def recorded(*args, **kwargs):
+            for lists in stream(*args, **kwargs):
+                drawn_by.append(threading.current_thread().name)
+                yield lists
+
+        monkeypatch.setattr(kempe.verify, "enumerate_degree_assignments", recorded)
+        theta = line_graph(fam("theta(1,3,3)"))
+        verdicts = [degree_swappable_verdict(theta, cap=4, workers=2).verdict,
+                    degree_swappable_verdict(theta, cap=4, max_assignments=50,
+                                             workers=2).verdict,
+                    degree_swappable_verdict(fam("cycle(6)"), cap=3, workers=2).verdict]
+        assert verdicts == ["verified", "budget-exceeded", "counterexample"]
+        assert drawn_by and set(drawn_by) == {"MainThread"}
 
 
 class TestVerifyLemma:
