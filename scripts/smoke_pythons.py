@@ -10,8 +10,10 @@ The corpus: `discharge` with both variants and `audit` with both variants on
 three plane graphs from tests/plane_corpus.py, `mix` on K3xK2 with lists
 {1,2,3} and on K4xK2 with lists {1..5}, which flood color-renaming orbits,
 `verify short-theta --cap 4`, `verify k4k2 --cap 6 --sample 20
---workers 2`, and an exhaustive two-worker `verify short-theta` on
-theta(1,3,5) that `--max-assignments 200` cuts (exit code 2).
+--workers 2`, and two exhaustive two-worker runs that a budget cuts (exit
+code 2): `verify short-theta` on theta(1,3,5) at `--max-assignments 200`,
+and `verify prism` on prism(1,1,3) at cap 5 and `--max-assignments 2000`,
+which pins the cap-5 stream.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ def corpus() -> list[list[str]]:
     return commands + [["verify", "short-theta", "--cap", "4"],
                        ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"],
                        ["verify", "short-theta", "--instance", "theta(1,3,5)", "--cap", "4",
-                        "--max-assignments", "200", "--workers", "2"]]
+                        "--max-assignments", "200", "--workers", "2"],
+                       ["verify", "prism", "--instance", "prism(1,1,3)", "--cap", "5",
+                        "--max-assignments", "2000", "--workers", "2"]]
 
 
 def run_all(python: str, workdir: str) -> list[tuple[int, str]]:

@@ -8,6 +8,13 @@ assignment is the minimum, over all color permutations, of its mask tuple.
 This makes every prefix of a canonical assignment canonical too, which lets
 the exhaustive stream prune whole subtrees during generation.
 
+Some permutation maps any mask to the least mask of its size, so a canonical
+assignment starts with that least mask, and the stream fixes it.  A longer
+prefix is then compared only under the stabiliser of that first mask: every
+other permutation maps it to a larger mask of the same size, so its image is
+above the prefix at position 0.  _maps_below makes each comparison, here and
+in the orbit test below, and _leads gives the tables worth comparing.
+
 Graph automorphisms are a second symmetry: relabelling the vertices of the
 graph by an automorphism keeps L-swappability too.  The stream does not
 prune with them, so every report counts the same assignments as without
@@ -98,64 +105,32 @@ def _perm_tables(cap: int) -> tuple[tuple[int, ...], ...]:
                  for perm in itertools.permutations(identity) if perm != identity)
 
 
-def _is_prefix_canonical(prefix: list[int], tables) -> bool:
-    """Is the mask tuple lexicographically minimal over all color permutations?"""
-    for table in tables:
-        for mask in prefix:
-            image = table[mask]
-            if image < mask:
-                return False
-            if image > mask:
-                break
-    return True
-
-
-class _LeadTables(dict):
-    """For each mask, the tables of _perm_tables that map it to the least mask of its size.
-
-    An entry scans all cap!-1 tables, so each is built when first asked
-    for: a run meets few of the 2^cap masks.
-    """
-
-    def __init__(self, cap: int):
-        super().__init__()
-        self.tables = _perm_tables(cap)
-
-    def __missing__(self, mask: int) -> tuple[tuple[int, ...], ...]:
-        least = (1 << bin(mask).count("1")) - 1
-        leads = self[mask] = tuple(t for t in self.tables if t[mask] == least)
-        return leads
-
-
 @functools.lru_cache(maxsize=None)
-def _lead_tables(cap: int) -> _LeadTables:
-    """The lead tables at cap, shared by every caller in the process."""
-    return _LeadTables(cap)
+def _leads(cap: int, mask: int) -> tuple[tuple[int, ...], ...]:
+    """The tables of _perm_tables(cap) that map mask to the least mask of its size.
 
-
-def _orbit_least(masks: tuple[int, ...], auts, leads) -> bool:
-    """Is the mask tuple the least of its orbit under auts x Sym(cap)?
-
-    The images masks∘sigma, for each sigma in auts, are compared with masks
-    under the identity and under color permutations, each up to the first
-    position where the two differ.  The caller vouches for the identity
-    sigma: masks is least under color permutation alone, so masks[0] is the
-    least mask of its size.  A color permutation that maps image[0] to any
-    other mask gives an image above masks at position 0, so only the tables
-    in leads[image[0]] (see _lead_tables) are compared.
+    For the least mask itself these are its stabiliser.  Each entry scans
+    all cap!-1 tables, so it is built when first asked for: a run meets few
+    of the 2^cap masks.
     """
-    for sigma in auts:
-        image = tuple([masks[v] for v in sigma])
-        if image < masks:
-            return False
-        for table in leads[image[0]]:
-            for a, m in zip(image, masks):
-                a = table[a]
-                if a < m:
-                    return False
-                if a > m:
-                    break
-    return True
+    least = (1 << bin(mask).count("1")) - 1
+    return tuple(t for t in _perm_tables(cap) if t[mask] == least)
+
+
+def _maps_below(image, masks, tables) -> bool:
+    """Does some table map image below masks?
+
+    Each table's image is compared with masks up to the first position
+    where the two differ.
+    """
+    for table in tables:
+        for a, m in zip(image, masks):
+            a = table[a]
+            if a < m:
+                return True
+            if a > m:
+                break
+    return False
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -187,13 +162,14 @@ def canonicalize_assignment(lists, cap: int) -> ListAssignment:
     The representative is the least image of the mask tuple under all color
     permutations.  Some permutation maps masks[0] to any mask of its size, so
     the least image starts with the least mask of that size.  Only the tables
-    in _lead_tables(cap)[masks[0]], and the identity, can give such an image;
+    in _leads(cap, masks[0]), and the identity, can give such an image;
     every other permutation loses at position 0.
     """
     masks = _assignment_masks(lists, cap)
-    leads = _lead_tables(cap)
     best = masks
-    for table in leads[masks[0]] if masks else ():
+    # With no lists, mask 0 looks up every table, so a cap above MAX_CAP
+    # still fails in _perm_tables.
+    for table in _leads(cap, masks[0] if masks else 0):
         image = tuple([table[m] for m in masks])
         if image < best:
             best = image
@@ -240,26 +216,31 @@ def enumerate_degree_assignments(stream: AssignmentStream, group=()):
             raw = [frozenset(rng.sample(range(1, cap + 1), size)) for size in sizes]
             yield canonicalize_assignment(raw, cap)
         return
-    tables = _perm_tables(cap)
-    leads = _lead_tables(cap) if group else {}
     candidates = {s: [m for m in range(1 << cap) if bin(m).count("1") == s]
                   for s in set(sizes)}
     n = len(sizes)
-    prefix: list[int] = []
+    prefix = [(1 << s) - 1 for s in sizes[:1]]  # the least mask of its size
+    fixers = _leads(cap, prefix[0]) if prefix else _perm_tables(cap)
 
     def descend(k: int):
         if k == n:
             masks = tuple(prefix)
-            yield (tuple(_mask_to_set(m) for m in masks)
-                   if _orbit_least(masks, group, leads) else None)
+            # masks[0] is least, so only the tables that lead image[0] can
+            # map image below masks: any other loses at position 0.
+            for sigma in group:
+                image = tuple([masks[v] for v in sigma])
+                if image < masks or _maps_below(image, masks, _leads(cap, image[0])):
+                    yield None
+                    return
+            yield tuple(_mask_to_set(m) for m in masks)
             return
         for mask in candidates[sizes[k]]:
             prefix.append(mask)
-            if _is_prefix_canonical(prefix, tables):
+            if not _maps_below(prefix, prefix, fixers):
                 yield from descend(k + 1)
             prefix.pop()
 
-    yield from descend(0)
+    yield from descend(len(prefix))
 
 
 def count_assignment_orbits_reference(sizes, cap: int, group=()) -> int:
@@ -352,15 +333,6 @@ def _swappable_failure(g: Graph, lists: ListAssignment, max_colorings: int) -> s
     return None if is_L_swappable(g, lists, max_colorings) else "not swappable"
 
 
-def _check_task(task):
-    """Check one assignment; the result carries the assignment back to the verdict loop.
-
-    lists is None for an assignment the stream vouches for without a check.
-    """
-    check, g, lists = task
-    return lists, None if lists is None else check(g, lists)
-
-
 def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None,
                         seed: int = 0, max_assignments: int | None = DEFAULT_MAX_ASSIGNMENTS,
                         max_colorings: int = DEFAULT_MAX_COLORINGS,
@@ -374,8 +346,10 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
     workers > 1, since every check then runs in a pool of workers.  Only the
     calling thread reads the stream, in batches that start at 8 assignments
     per worker and double up to _BATCH per worker, and each batch is checked
-    in full before the next is drawn.  Stops at the first counterexample in
-    stream order, so the report is the same for any worker count.
+    in full before the next is drawn.  The checks get only the assignments
+    of a batch that need one; the calling thread counts the skipped ones in
+    stream order.  Stops at the first counterexample in stream order, so the
+    report is the same for any worker count.
     max_assignments=None checks the whole stream.
 
     An exhaustive run with the default check skips the check on assignments
@@ -410,16 +384,17 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
         auts = itertools.islice(automorphisms(g), 1, _ORBIT_IMAGES // (len(tables) + 1))
         group = [sigma for sigma in auts if all(sizes[v] == sizes[w] for v, w in enumerate(sigma))]
     stream = enumerate_degree_assignments(spec, group)
-    check = checker or functools.partial(_swappable_failure, max_colorings=max_colorings)
-    tasks = ((check, g, lists) for lists in itertools.islice(stream, max_assignments))
-    pool, check_batch = contextlib.nullcontext(), functools.partial(map, _check_task)
+    assignments = itertools.islice(stream, max_assignments)
+    check = (functools.partial(checker, g) if checker else
+             functools.partial(_swappable_failure, g, max_colorings=max_colorings))
+    pool, check_batch = contextlib.nullcontext(), functools.partial(map, check)
     if workers > 1:
         # Imported here, not at the top: the import alone adds about 1 MiB to
         # the peak memory of every run that loads this module.
         import multiprocessing
 
         pool = multiprocessing.Pool(workers)
-        check_batch = functools.partial(pool.map, _check_task, chunksize=8)
+        check_batch = functools.partial(pool.map, check, chunksize=8)
 
     def finish(verdict, checked, **kw):
         return LemmaReport(lemma_id, instance, _mode_string(spec), verdict,
@@ -428,13 +403,14 @@ def f_swappable_verdict(g: Graph, sizes, cap: int = 4, sample: int | None = None
 
     checked, size = 0, 8 * workers  # a chunk per worker, so a run that stops early draws few
     with pool:  # idle between batches, so leaving it terminates no work
-        while batch := list(itertools.islice(tasks, size)):
+        while batch := list(itertools.islice(assignments, size)):
             size = min(2 * size, _BATCH * workers)
-            for lists, failure in check_batch(batch):
+            failures = iter(check_batch([lists for lists in batch if lists is not None]))
+            for lists in batch:  # None stands for a skipped assignment
                 checked += 1
-                if failure is not None:
+                if lists is not None and (failure := next(failures)) is not None:
                     return finish("counterexample", checked, counterexample=lists, detail=failure)
-    for _ in stream:  # an item is left (None stands for a skipped assignment)
+    for _ in stream:  # an item is left
         return finish("budget-exceeded", checked, detail=f"stopped after {checked} assignments")
     return finish("verified", checked)
 

@@ -109,8 +109,9 @@ class TestCanonicalStream:
 
     def test_oversized_cap_and_short_sizes_rejected_before_any_table(self):
         cap = MAX_CAP + 1
-        with pytest.raises(ParameterError, match=f"cap {cap} is above {MAX_CAP}"):
-            canonicalize_assignment([{1}], cap)
+        for lists in ([{1}], []):
+            with pytest.raises(ParameterError, match=f"cap {cap} is above {MAX_CAP}"):
+                canonicalize_assignment(lists, cap)
         for sample in (None, 3):
             with pytest.raises(ParameterError, match=f"cap {cap} is above"):
                 next(enumerate_degree_assignments(AssignmentStream((1, 1), cap, sample=sample)))
@@ -119,6 +120,35 @@ class TestCanonicalStream:
         # A list size of 9 raises the cap to 9 without being asked.
         with pytest.raises(ParameterError, match="cap 9 is above"):
             f_swappable_verdict(fam("cycle(3)"), (9, 1, 1), cap=4, workers=2)
+
+    @pytest.mark.parametrize("sizes, graph", [
+        ((2, 1, 3), None), ((1, 1, 1, 1), None), ((1, 2, 2, 1), None),
+        ((1, 2, 1), "path(3)"), ((1, 1, 1, 1), "cycle(4)"), ((2, 1, 2, 1), "cycle(4)"),
+    ])
+    def test_stabiliser_prefix_test_counts_orbits_at_cap_5(self, sizes, graph):
+        # The stream fixes the first list to the least mask of its size and
+        # compares longer prefixes only under that mask's stabiliser; here
+        # the first list is smaller than the cap, so the stabiliser is not
+        # the whole group.  With a graph, its automorphisms that keep the
+        # sizes mark the non-least assignments as None.
+        group = [] if graph is None else [
+            s for s in list(automorphisms(fam(graph)))[1:]
+            if all(sizes[v] == sizes[w] for v, w in enumerate(s))]
+        out = list(enumerate_degree_assignments(AssignmentStream(sizes, 5), group))
+        assert len(out) == count_assignment_orbits_reference(sizes, 5)
+        kept = [lists for lists in out if lists is not None]
+        assert len(kept) == count_assignment_orbits_reference(sizes, 5, group=group)
+        assert len(kept) < len(out) or not group
+
+    def test_every_exhaustive_item_is_its_own_reference_form(self):
+        for sizes, caps in [((2, 1, 3), (3, 4, 5)), ((1, 1, 1, 1), (3, 4, 5)),
+                            ((2, 2, 2, 2), (3, 4, 5)), ((3, 1, 2), (3, 4, 5)),
+                            ((4, 2, 2, 1), (4, 5)), ((5, 1, 3), (5,))]:
+            for cap in caps:
+                out = list(enumerate_degree_assignments(AssignmentStream(sizes, cap)))
+                assert out, (sizes, cap)
+                for lists in out:
+                    assert canonicalize_assignment_reference(lists, cap) == lists, (lists, cap)
 
     def test_group_orbit_count_reference(self):
         # One color per vertex of the path 0-1-2 at cap 3: the Sym(3) orbits
@@ -233,6 +263,26 @@ class TestDegreeSwappableVerdict:
                                              checker=never, workers=workers)
                 assert (report.verdict, report.assignments_checked) == (
                     "verified" if position == len(stream) else "budget-exceeded", position)
+
+
+    @pytest.mark.parametrize("family", ["cycle(6)", "cycle(8)"])
+    def test_skip_before_a_counterexample_in_one_batch(self, family):
+        # At cap 3 the fourth item of the stream fails, and the third is an
+        # orbit skip (None); all of them fall in the first batch.  The
+        # skip counts as checked, though no check runs on it.
+        g = fam(family)
+        group = list(automorphisms(g))[1:]
+        items = list(itertools.islice(
+            enumerate_degree_assignments(AssignmentStream(g.degrees(), 3), group), 8))
+        position = next(i for i, lists in enumerate(items, 1)
+                        if lists is not None and not is_L_swappable(g, lists))
+        assert position == 4 and items[:position].count(None) == 1
+        reports = [degree_swappable_verdict(g, cap=3, workers=workers) for workers in (1, 2)]
+        for report in reports:
+            assert (report.verdict, report.assignments_checked, report.counterexample) == (
+                "counterexample", position, items[position - 1])
+        assert dataclasses.replace(reports[0], runtime=0.0) == \
+            dataclasses.replace(reports[1], runtime=0.0)
 
 
 def _fails_on(target, g, lists):
