@@ -9,7 +9,7 @@ from __future__ import annotations
 from .coloring import Coloring, ListAssignment, SwapMove, make_lists
 from .errors import ParameterError
 from .graphs import Graph, from_edges
-from .planar import PlaneGraph, parse_rotation_system
+from .planar import PlaneGraph, _graph_from_rotation
 from .reconfig import ReconfigGraph
 
 
@@ -18,6 +18,24 @@ def _data_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line
+
+
+def _rows(text: str, what: str, parse) -> list:
+    """The rows of a "v: ..." format, one line per vertex, in vertex order.
+
+    parse turns the text after a line's colon into its row, as each line is
+    read, so a bad token raises before a later duplicate line is seen.
+    """
+    rows = {}
+    for line in _data_lines(text):
+        head, _, rest = line.partition(":")
+        v = int(head)
+        if v in rows:
+            raise ParameterError(f"duplicate {what} line for vertex {v}")
+        rows[v] = parse(rest)
+    if sorted(rows) != list(range(len(rows))):
+        raise ParameterError(f"{what} lines must cover vertices 0..n-1 exactly once")
+    return [rows[v] for v in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +121,8 @@ def write_rotation_system(pg: PlaneGraph) -> str:
 
 
 def parse_plane_graph(text: str) -> PlaneGraph:
-    return parse_rotation_system(text)
+    rotation = tuple(_rows(text, "rotation", lambda rest: tuple(int(t) for t in rest.split())))
+    return PlaneGraph(_graph_from_rotation(len(rotation), rotation), rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +135,10 @@ def write_lists(lists: ListAssignment) -> str:
 
 
 def parse_lists(text: str, g: Graph | None = None) -> ListAssignment:
-    rows = {}
-    for line in _data_lines(text):
-        head, _, rest = line.partition(":")
-        v = int(head)
-        if v in rows:
-            raise ParameterError(f"duplicate list line for vertex {v}")
-        rows[v] = [int(t) for t in rest.split()]
-    if sorted(rows) != list(range(len(rows))):
-        raise ParameterError("list lines must cover vertices 0..n-1 exactly once")
+    rows = _rows(text, "list", lambda rest: [int(t) for t in rest.split()])
     if g is not None and len(rows) != g.n:
         raise ParameterError(f"assignment covers {len(rows)} vertices, graph has {g.n}")
-    return make_lists(rows[v] for v in range(len(rows)))
+    return make_lists(rows)
 
 
 def write_coloring(phi: Coloring) -> str:
@@ -135,18 +146,10 @@ def write_coloring(phi: Coloring) -> str:
 
 
 def parse_coloring(text: str, g: Graph | None = None) -> Coloring:
-    rows = {}
-    for line in _data_lines(text):
-        head, _, rest = line.partition(":")
-        v = int(head)
-        if v in rows:
-            raise ParameterError(f"duplicate coloring line for vertex {v}")
-        rows[v] = int(rest)
-    if sorted(rows) != list(range(len(rows))):
-        raise ParameterError("coloring lines must cover vertices 0..n-1 exactly once")
+    rows = _rows(text, "coloring", int)
     if g is not None and len(rows) != g.n:
         raise ParameterError(f"coloring covers {len(rows)} vertices, graph has {g.n}")
-    return tuple(rows[v] for v in range(len(rows)))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -164,24 +164,6 @@ def _graph_from_rotation(n: int, rotation) -> Graph:
     return Graph(n, tuple(tuple(sorted(rot)) for rot in rotation))
 
 
-def parse_rotation_system(text: str) -> PlaneGraph:
-    """Parse the "v: n1 n2 ... nk" per-line rotation format."""
-    rows: dict[int, tuple[int, ...]] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        v = int(head)
-        if v in rows:
-            raise ParameterError(f"duplicate rotation line for vertex {v}")
-        rows[v] = tuple(int(tok) for tok in rest.split())
-    if sorted(rows) != list(range(len(rows))):
-        raise ParameterError("rotation lines must cover vertices 0..n-1 exactly once")
-    rotation = tuple(rows[v] for v in range(len(rows)))
-    return PlaneGraph(_graph_from_rotation(len(rows), rotation), rotation)
-
-
 def delete_edge_planar(pg: PlaneGraph, u: int, v: int) -> PlaneGraph:
     """Remove one edge; the embedding of everything else is unchanged."""
     if not pg.graph.has_edge(u, v):

@@ -34,9 +34,9 @@ it acts on colorings by renaming.
     member: flood expands the canonical member, canon, and maps canon over
     its neighbors.
 
-is_L_swappable and _classes flood orbits, counted by count_colorings with
-orbits.  Shortest paths stay on colorings: a path between orbits is no
-path between colorings.
+is_L_swappable and _classes flood orbits, counted by count_colorings.
+Shortest paths stay on colorings: a path between orbits is no path between
+colorings.
 """
 
 from __future__ import annotations
@@ -131,18 +131,18 @@ class ReconfigSpace:
         """The key of the L-coloring phi."""
         return sum([b[c] for b, c in zip(self.bits, phi)])
 
-    def count_colorings(self, orbits: bool = False) -> tuple[int, int | None]:
-        """The number of L-colorings and the key of the first, listing none.
+    def count_colorings(self) -> tuple[int, int | None]:
+        """The number of Sigma-orbits of L-colorings and the key of the first
+        L-coloring, listing none.
 
         The first is the first in enumerate_L_colorings order, None if there
         is no L-coloring.  The same budget check as enumerate_L_colorings
-        comes before any work.  With orbits, the number of Sigma-orbits:
-        only colorings in which each color of a type is first used after the
-        color before it in the type are counted, one per orbit, and the
-        first coloring is one of them (renaming a color that breaks the rule
-        to the unused one before it gives an earlier coloring).  Its key is
-        canonical.  A color not yet allowed holds the blocked bit, which
-        every back mask holds, so the test stays one AND.
+        comes before any work.  Only colorings in which each color of a type
+        is first used after the color before it in the type are counted, one
+        per orbit, and the first coloring is one of them (renaming a color
+        that breaks the rule to the unused one before it gives an earlier
+        coloring).  Its key is canonical.  A color not yet allowed holds the
+        blocked bit, which every back mask holds, so the test stays one AND.
 
         This and frozen are the two coloring searches besides
         coloring._extensions.  This one is kept because is_L_swappable runs
@@ -161,7 +161,7 @@ class ReconfigSpace:
         # of c allows, or k.
         masks = [0] * (k + 1)
         after = [k] * k
-        for t in self.types if orbits else ():
+        for t in self.types:
             for a, b in zip(t, t[1:]):
                 after[a] = b
                 masks[b] = blocked
@@ -337,7 +337,7 @@ def _classes(space: ReconfigSpace):
     seen: dict = {}
     number = 0
     colorings = space.colorings
-    total, _ = space.count_colorings(orbits=True)
+    total, _ = space.count_colorings()
     for phi in colorings:
         start = space.canon(space.key_of(phi))
         if start not in seen:
@@ -402,7 +402,7 @@ def is_L_swappable(g: Graph, lists: ListAssignment,
                    max_colorings: int = DEFAULT_MAX_COLORINGS) -> bool:
     """Fast connectivity check: count the orbits, then flood from the first only."""
     space = ReconfigSpace(g, lists, max_colorings)
-    total, start = space.count_colorings(orbits=True)
+    total, start = space.count_colorings()
     if total <= 1:
         return True
     seen = {start: None}

@@ -8,12 +8,15 @@ assignment is the minimum, over all color permutations, of its mask tuple.
 This makes every prefix of a canonical assignment canonical too, which lets
 the exhaustive stream prune whole subtrees during generation.
 
-Some permutation maps any mask to the least mask of its size, so a canonical
-assignment starts with that least mask, and the stream fixes it.  A longer
-prefix is then compared only under the stabiliser of that first mask: every
-other permutation maps it to a larger mask of the same size, so its image is
-above the prefix at position 0.  _maps_below makes each comparison, here and
-in the orbit test below, and _leads gives the tables worth comparing.
+Every canonicity question is answered by one stabiliser chain.  Its step,
+_narrow, keeps the permutation tables that map one more mask onto its
+target, and gives None as soon as one maps it below: the whole image is then
+below, while a table that maps it above stays above for every extension.
+The exhaustive stream starts from every table and passes the stabiliser of
+its prefix down.  The other chains start at _leads, the tables (the identity
+among them) that map a mask to the least mask of its size, where every
+canonical form starts: the orbit test chains from there across an image, and
+canonicalize_assignment narrows to the least image at each position.
 
 Graph automorphisms are a second symmetry: relabelling the vertices of the
 graph by an automorphism keeps L-swappability too.  The stream does not
@@ -106,40 +109,34 @@ def _perm_tables(cap: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _leads(cap: int, mask: int) -> tuple[tuple[int, ...], ...]:
-    """The tables of _perm_tables(cap) that map mask to the least mask of its size.
+def _color_sets(cap: int) -> tuple[frozenset[int], ...]:
+    """The color set of each mask over the universe 1..cap."""
+    return tuple(frozenset(i + 1 for i in range(cap) if mask >> i & 1)
+                 for mask in range(1 << cap))
 
-    For the least mask itself these are its stabiliser.  Each entry scans
-    all cap!-1 tables, so it is built when first asked for: a run meets few
-    of the 2^cap masks.
+
+def _narrow(tables, mask, target):
+    """The tables that map mask to target, or None if one maps it below target."""
+    kept = []
+    for table in tables:
+        image = table[mask]
+        if image < target:
+            return None
+        if image == target:
+            kept.append(table)
+    return kept
+
+
+@functools.lru_cache(maxsize=None)
+def _leads(cap: int, mask: int) -> tuple:
+    """The color permutations, the identity range(1 << cap) among them, that
+    map mask to the least mask of its size: the first step of the chain.
+
+    Each entry scans all cap! tables, so it is built when first asked for: a
+    run meets few of the 2^cap masks.
     """
     least = (1 << bin(mask).count("1")) - 1
-    return tuple(t for t in _perm_tables(cap) if t[mask] == least)
-
-
-def _maps_below(image, masks, tables) -> bool:
-    """Does some table map image below masks?
-
-    Each table's image is compared with masks up to the first position
-    where the two differ.
-    """
-    for table in tables:
-        for a, m in zip(image, masks):
-            a = table[a]
-            if a < m:
-                return True
-            if a > m:
-                break
-    return False
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out.add(i + 1)
-    return frozenset(out)
+    return tuple(_narrow((range(1 << cap), *_perm_tables(cap)), mask, least))
 
 
 def _set_to_mask(colors) -> int:
@@ -160,32 +157,33 @@ def canonicalize_assignment(lists, cap: int) -> ListAssignment:
     """The orbit representative of a list assignment under color permutation.
 
     The representative is the least image of the mask tuple under all color
-    permutations.  Some permutation maps masks[0] to any mask of its size, so
-    the least image starts with the least mask of that size.  Only the tables
-    in _leads(cap, masks[0]), and the identity, can give such an image;
-    every other permutation loses at position 0.
+    permutations.  Position by position it takes the least image among the
+    tables that map the positions before to the representative, and narrows
+    to the tables that reach it.
     """
     masks = _assignment_masks(lists, cap)
-    best = masks
     # With no lists, mask 0 looks up every table, so a cap above MAX_CAP
     # still fails in _perm_tables.
-    for table in _leads(cap, masks[0] if masks else 0):
-        image = tuple([table[m] for m in masks])
-        if image < best:
-            best = image
-    return tuple(_mask_to_set(m) for m in best)
+    tables = _leads(cap, masks[0] if masks else 0)
+    best = []
+    for m in masks:
+        best.append(min(table[m] for table in tables))
+        tables = _narrow(tables, m, best[-1])
+    sets = _color_sets(cap)
+    return tuple([sets[m] for m in best])
 
 
 def canonicalize_assignment_reference(lists, cap: int) -> ListAssignment:
     """canonicalize_assignment by comparing the images under every color
-    permutation; the oracle for the lead-table shortcut."""
+    permutation; the oracle for the stabiliser chain."""
     masks = _assignment_masks(lists, cap)
     best = masks
     for table in _perm_tables(cap):
         image = tuple(table[m] for m in masks)
         if image < best:
             best = image
-    return tuple(_mask_to_set(m) for m in best)
+    sets = _color_sets(cap)
+    return tuple([sets[m] for m in best])
 
 
 def enumerate_degree_assignments(stream: AssignmentStream, group=()):
@@ -216,31 +214,37 @@ def enumerate_degree_assignments(stream: AssignmentStream, group=()):
             raw = [frozenset(rng.sample(range(1, cap + 1), size)) for size in sizes]
             yield canonicalize_assignment(raw, cap)
         return
+    tables = _perm_tables(cap)  # first, so that a cap above MAX_CAP fails at once
+    sets = _color_sets(cap)
     candidates = {s: [m for m in range(1 << cap) if bin(m).count("1") == s]
                   for s in set(sizes)}
     n = len(sizes)
-    prefix = [(1 << s) - 1 for s in sizes[:1]]  # the least mask of its size
-    fixers = _leads(cap, prefix[0]) if prefix else _perm_tables(cap)
+    prefix = []
 
-    def descend(k: int):
+    def descend(k: int, tables):
+        # tables holds the non-identity permutations that fix prefix.
         if k == n:
             masks = tuple(prefix)
-            # masks[0] is least, so only the tables that lead image[0] can
-            # map image below masks: any other loses at position 0.
+            # masks[0] is the least mask of its size, so the chain over the
+            # image of masks under sigma starts at the leads of its first
+            # mask, the identity among them when that mask is masks[0].
             for sigma in group:
-                image = tuple([masks[v] for v in sigma])
-                if image < masks or _maps_below(image, masks, _leads(cap, image[0])):
+                chain, i = _leads(cap, masks[sigma[0]]), 1
+                while chain and i < n:  # None: the image is below masks
+                    chain, i = _narrow(chain, masks[sigma[i]], masks[i]), i + 1
+                if chain is None:
                     yield None
                     return
-            yield tuple(_mask_to_set(m) for m in masks)
+            yield tuple([sets[m] for m in masks])
             return
         for mask in candidates[sizes[k]]:
-            prefix.append(mask)
-            if not _maps_below(prefix, prefix, fixers):
-                yield from descend(k + 1)
-            prefix.pop()
+            fixers = _narrow(tables, mask, mask)
+            if fixers is not None:
+                prefix.append(mask)
+                yield from descend(k + 1, fixers)
+                prefix.pop()
 
-    yield from descend(len(prefix))
+    yield from descend(0, tables)
 
 
 def count_assignment_orbits_reference(sizes, cap: int, group=()) -> int:

@@ -308,6 +308,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and f"anchor {anchor} out of range" in captured.err
 
+    # A "v: ..." file of each kind on the 4-cycle: a command that reads it
+    # first among its files, its good rows, and how int() quotes a bad token.
+    ROWS = {
+        "list": ("mix", ["lists", "graph"], ["0: 1 2", "1: 1 2", "2: 1 2", "3: 1 2"], "'x'"),
+        "coloring": ("path", ["start", "graph", "lists", "goal"],
+                     ["0: 1", "1: 2", "2: 1", "3: 2"], "' x'"),
+        "rotation": ("faces", ["plane"], ["0: 1 3", "1: 2 0", "2: 3 1", "3: 0 2"], "'x'"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    @pytest.mark.parametrize("case", ["duplicate", "missing", "bad token first"])
+    def test_row_errors_are_input_errors(self, kind, case, tmp_path, capsys):
+        command, reads, rows, token = self.ROWS[kind]
+        bad, expected = {
+            "duplicate": (rows[:3] + rows[2:], f"duplicate {kind} line for vertex 2"),
+            "missing": (rows[:2] + rows[3:],
+                        f"{kind} lines must cover vertices 0..n-1 exactly once"),
+            # The bad token on line 0 is read before the duplicate of vertex 2.
+            "bad token first": (["0: x"] + rows[1:3] + rows[2:],
+                                f"invalid literal for int() with base 10: {token}"),
+        }[case]
+        files = {"graph": ["4 4", "0 1", "1 2", "2 3", "0 3"], "lists": self.ROWS["list"][2],
+                 "start": self.ROWS["coloring"][2], "goal": self.ROWS["coloring"][2],
+                 reads[0]: bad}
+        argv = [command]
+        for file in reads:
+            (tmp_path / file).write_text("\n".join(files[file]) + "\n")
+            argv += [f"--{file}", str(tmp_path / file)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: {expected}\n")
+
     def test_input_error_exit_code(self, capsys):
         assert main(["gen", "cycle(2)"]) == 3
         capsys.readouterr()

@@ -126,11 +126,11 @@ class TestCanonicalStream:
         ((1, 2, 1), "path(3)"), ((1, 1, 1, 1), "cycle(4)"), ((2, 1, 2, 1), "cycle(4)"),
     ])
     def test_stabiliser_prefix_test_counts_orbits_at_cap_5(self, sizes, graph):
-        # The stream fixes the first list to the least mask of its size and
-        # compares longer prefixes only under that mask's stabiliser; here
-        # the first list is smaller than the cap, so the stabiliser is not
-        # the whole group.  With a graph, its automorphisms that keep the
-        # sizes mark the non-least assignments as None.
+        # The stream narrows the color permutations to the stabiliser of
+        # each prefix; here the first list is smaller than the cap, so its
+        # stabiliser is not the whole group.  With a graph, its
+        # automorphisms that keep the sizes mark the non-least assignments
+        # as None.
         group = [] if graph is None else [
             s for s in list(automorphisms(fam(graph)))[1:]
             if all(sizes[v] == sizes[w] for v, w in enumerate(s))]
@@ -149,6 +149,19 @@ class TestCanonicalStream:
                 assert out, (sizes, cap)
                 for lists in out:
                     assert canonicalize_assignment_reference(lists, cap) == lists, (lists, cap)
+
+    @pytest.mark.parametrize("sizes, cap", [
+        ((3, 1, 2), 3), ((4, 2, 1), 4), ((5, 2, 1), 5),  # the first list fills the universe
+        ((2, 2, 1), 3), ((2, 1, 3, 1), 4), ((2, 1, 3, 1), 5),
+    ])
+    def test_stream_is_the_sorted_reference_forms(self, sizes, cap):
+        # The orbit skip in f_swappable_verdict relies on this order: the
+        # stream yields every least image once, in increasing mask order.
+        forms = {_masks(canonicalize_assignment_reference([frozenset(c) for c in raw], cap))
+                 for raw in itertools.product(*[itertools.combinations(range(1, cap + 1), s)
+                                                for s in sizes])}
+        out = enumerate_degree_assignments(AssignmentStream(sizes, cap))
+        assert [_masks(lists) for lists in out] == sorted(forms)
 
     def test_group_orbit_count_reference(self):
         # One color per vertex of the path 0-1-2 at cap 3: the Sym(3) orbits
