@@ -10,10 +10,12 @@ The corpus: `discharge` with both variants and `audit` with both variants on
 three plane graphs from tests/plane_corpus.py, `mix` on K3xK2 with lists
 {1,2,3} and on K4xK2 with lists {1..5}, which flood color-renaming orbits,
 `verify short-theta --cap 4`, `verify k4k2 --cap 6 --sample 20
---workers 2`, and two exhaustive two-worker runs that a budget cuts (exit
+--workers 2`, two exhaustive two-worker runs that a budget cuts (exit
 code 2): `verify short-theta` on theta(1,3,5) at `--max-assignments 200`,
 and `verify prism` on prism(1,1,3) at cap 5 and `--max-assignments 2000`,
-which pins the cap-5 stream.
+which pins the cap-5 stream, and the three `lift` cases of
+tests/lift_corpus.py: a vertex lift that parks, a slack subgraph lift and a
+tight one with `--target`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from lift_corpus import LIFTS  # noqa: E402
 from plane_corpus import cube, random_plane_min2, wheel  # noqa: E402
 
 from kempe.coloring import make_lists  # noqa: E402
@@ -45,6 +48,7 @@ def corpus() -> list[list[str]]:
                 for name in PLANES for command in ("discharge", "audit")
                 for variant in ("lemma1", "lemma2")]
     commands += [["mix", "--graph", graph, "--lists", lists] for graph, lists in SPACES]
+    commands += [argv for _, argv in LIFTS.values()]
     return commands + [["verify", "short-theta", "--cap", "4"],
                        ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"],
                        ["verify", "short-theta", "--instance", "theta(1,3,5)", "--cap", "4",
@@ -75,6 +79,9 @@ def main(argv=None) -> int:
             g = cartesian_product(generate(parse_family(first)), generate(parse_family(second)))
             Path(workdir, graph).write_text(write_edge_list(g))
             Path(workdir, lists).write_text(write_lists(make_lists([range(1, colors + 1)] * g.n)))
+        for files, _ in LIFTS.values():
+            for name, text in files.items():
+                Path(workdir, name).write_text(text)
         results = {python: run_all(python, workdir) for python in args.pythons}
     reference = results[args.pythons[0]]
     bad = 0

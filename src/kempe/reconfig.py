@@ -57,8 +57,8 @@ from .coloring import (
     _pair_components,
     _require_bound,
     _require_budget,
+    apply_moves,
     check_coloring,
-    classify_swap,
     classify_swap_partial,
     color_universe,
     enumerate_L_colorings,
@@ -445,7 +445,7 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
 
     The search explores phi1's class only and never enumerates the space;
     max_colorings bounds the colorings it reaches.  The returned sequence is
-    replayed through classify_swap as a self-check before being handed back.
+    replayed through apply_moves as a self-check before being handed back.
     """
     _require_budget(max_colorings)
     for phi in (phi1, phi2):
@@ -472,19 +472,13 @@ def equivalence_path(g: Graph, lists: ListAssignment, phi1: Coloring, phi2: Colo
         trail.append(prev[trail[-1]])
     trail.reverse()
     moves = [space.move_between(a, b) for a, b in zip(trail, trail[1:])]
-    if _replay(g, lists, phi1, moves, "path replay failed at {mv}: {reason}") != phi2:
+    try:
+        reached = apply_moves(g, lists, phi1, moves)
+    except PreconditionError as exc:
+        raise KempeError(f"internal: path replay failed: {exc}") from exc
+    if reached != phi2:
         raise KempeError("internal: path replay does not reach the target coloring")
     return moves
-
-
-def _replay(g: Graph, lists: ListAssignment, phi: Coloring, moves, failure: str) -> Coloring:
-    """Replay moves through classify_swap as a self-check; an invalid one is an internal error."""
-    for mv in moves:
-        outcome = classify_swap(g, lists, phi, mv)
-        if not outcome.valid:
-            raise KempeError("internal: " + failure.format(mv=mv, reason=outcome.reason))
-        phi = outcome.coloring
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +614,7 @@ def _lift(g: Graph, lists: ListAssignment, start, moves, absent: frozenset[int],
 
     Per input step: check the move on the restriction to g-wider; let
     prepare(psi, mv) return the swaps inside wider-absent that make the step
-    liftable and the coloring they reach; replay the move on g-absent,
-    anchored at the least vertex of its component; check that the lifted
+    liftable; replay them and the move on g-absent; check that the lifted
     step restricts to the input step.  Returns the lifted moves and the final
     coloring of g-absent as a partial tuple.
     """
@@ -632,50 +625,59 @@ def _lift(g: Graph, lists: ListAssignment, start, moves, absent: frozenset[int],
         if not outcome.valid:
             raise PreconditionError(f"input move {step} ({mv}) is not L-valid on the "
                                     f"reduced graph: {outcome.reason}")
-        prepared, psi = prepare(psi, mv)
-        out.extend(prepared)
-        replay = classify_swap_partial(g, lists, psi, mv, absent)
-        if not replay.valid:
-            raise KempeError(f"internal: lifted replay of step {step} failed: {replay.reason}")
-        psi = replay.coloring
-        out.append(SwapMove(min(replay.component), mv.colors))
+        psi = _play(g, lists, psi, [*prepare(psi, mv), mv], absent, out, f"step {step}")
         if _restrict(psi, wider) != outcome.coloring:
             raise KempeError(f"internal: lifted step {step} does not restrict correctly")
     return out, psi
 
 
-def _lift_vertex_core(g: Graph, lists: ListAssignment, v: int, start, moves,
-                      absent: frozenset[int]):
-    """Lift moves on g-absent-v to g-absent (start is a coloring of g-absent).
+def _play(g: Graph, lists: ListAssignment, psi, moves, absent: frozenset[int], out, what: str):
+    """Replay moves on g-absent, appending each to out; returns the coloring reached.
 
-    Each input swap replays directly when it cannot disturb v; otherwise v is
-    first parked on a color unused on its closed neighborhood (one exists
-    because |L(v)| exceeds v's degree in g-absent), which is itself a
-    single-vertex Kempe swap.
+    Each move is anchored at the least vertex of its component.  Every lifted
+    move passes here, so an invalid one is an internal error.
     """
-    live = [w for w in g.adj[v] if w not in absent]
-    if len(lists[v]) <= len(live):
-        raise PreconditionError(f"need |L({v})| > d({v}) = {len(live)}")
+    for mv in moves:
+        replay = classify_swap_partial(g, lists, psi, mv, absent)
+        if not replay.valid:
+            raise KempeError(f"internal: lifted replay of {what} failed: {replay.reason}")
+        psi = replay.coloring
+        out.append(SwapMove(min(replay.component), mv.colors))
+    return psi
 
-    def park(psi, mv):
-        a, b = mv.colors
-        if psi[v] not in (a, b) or v not in partial_component(g, psi, mv.anchor, (a, b), absent):
-            return [], psi
-        if a in lists[v] and b in lists[v] and sum(1 for w in live if psi[w] in (a, b)) <= 1:
-            return [], psi
-        used = {psi[w] for w in live} | {psi[v]}
-        gamma = min(c for c in lists[v] if c not in used)
-        # v sits on an alpha,beta-path, so the other pair color is used on
-        # N[v]; gamma is therefore outside the pair.
-        if gamma in (a, b):
-            raise KempeError("internal: parking color collides with the swap pair")
-        move = SwapMove(v, (psi[v], gamma))
-        parked = classify_swap_partial(g, lists, psi, move, absent)
-        if not parked.valid or parked.component != frozenset({v}):
-            raise KempeError("internal: parking recolor is not a singleton Kempe swap")
-        return [move], parked.coloring
 
-    return _lift(g, lists, start, moves, absent, absent | {v}, park)
+def _peel(g: Graph, lists: ListAssignment, order, start, moves):
+    """Lift moves on g minus the order's vertices to g, inserting them in order.
+
+    Each insertion is a single-vertex lift through _lift.  An input swap
+    replays directly when it cannot disturb the new vertex v; otherwise v is
+    first parked on a color unused on its closed neighborhood (one exists
+    because |L(v)| exceeds v's degree among the vertices present), which is
+    itself a single-vertex Kempe swap.  start is a coloring of g.
+    """
+    absent = frozenset(order)
+    for v in order:
+        absent = absent - {v}
+        live = [w for w in g.adj[v] if w not in absent]
+        if len(lists[v]) <= len(live):
+            raise PreconditionError(f"need |L({v})| > d({v}) = {len(live)}")
+
+        def park(psi, mv):
+            a, b = mv.colors
+            if psi[v] not in (a, b) or v not in partial_component(g, psi, mv.anchor, (a, b), absent):
+                return []
+            if a in lists[v] and b in lists[v] and sum(1 for w in live if psi[w] in (a, b)) <= 1:
+                return []
+            used = {psi[w] for w in live} | {psi[v]}
+            gamma = min(c for c in lists[v] if c not in used)
+            # v sits on an alpha,beta-path, so the other pair color is used on
+            # N[v]; gamma is therefore outside the pair.
+            if gamma in (a, b):
+                raise KempeError("internal: parking color collides with the swap pair")
+            return [SwapMove(v, (psi[v], gamma))]
+
+        moves, psi = _lift(g, lists, _restrict(start, absent), moves, absent, absent | {v}, park)
+    return moves, psi
 
 
 def lift_through_vertex(g: Graph, lists: ListAssignment, v: int, start: Coloring,
@@ -692,16 +694,15 @@ def lift_through_vertex(g: Graph, lists: ListAssignment, v: int, start: Coloring
     chk = check_coloring(g, lists, start)
     if not chk:
         raise PreconditionError(f"start is not an L-coloring: {chk}")
-    out, psi = _lift_vertex_core(g, lists, v, start, moves, frozenset())
+    out, psi = _peel(g, lists, (v,), start, moves)
     if target_color is not None and psi[v] != target_color:
         if target_color not in lists[v]:
             raise PreconditionError(f"target color {target_color} not in list of vertex {v}")
         if any(psi[w] == target_color for w in g.adj[v]):
             raise PreconditionError(f"target color {target_color} is used on a neighbor of {v}; "
                                     f"not reachable by recoloring v")
-        mv = SwapMove(v, (psi[v], target_color))
-        psi = _classify(g, lists, psi, mv).coloring
-        out.append(mv)
+        psi = _play(g, lists, psi, [SwapMove(v, (psi[v], target_color))], frozenset(), out,
+                    "the target recolor")
     return LiftResult(tuple(out), psi)
 
 
@@ -766,30 +767,34 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
 
 
 @functools.lru_cache(maxsize=16)
-def _hypothesis_verdict(n: int, adj, cap: int, max_colorings: int):
-    """degree_swappable_verdict of H, kept: lifts through one H ask for it at every call."""
+def _hypothesis_verdict(n: int, adj, max_colorings: int):
+    """degree_swappable_verdict of H at cap 4, kept: lifts through one H ask for it at every call."""
     from .verify import degree_swappable_verdict  # verify builds on this module
 
-    return degree_swappable_verdict(Graph(n, adj), cap=cap, max_colorings=max_colorings)
+    return degree_swappable_verdict(Graph(n, adj), cap=4, max_colorings=max_colorings)
 
 
 def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Coloring,
                           moves, target: Coloring | None = None,
-                          verify_hypotheses: bool = True, cap: int = 4,
                           max_colorings: int = DEFAULT_MAX_COLORINGS) -> LiftResult:
     """Lift an L-valid swap sequence on g-H to one on g.
 
-    Per input step: extend the current g-H coloring to one of g that is
-    versatile for the step's swap, bridge the current coloring to that
+    The reduction hypotheses on H are checked first: the reduced sizes
+    f'(x) = |L(x)| - (d_G(x) - d_H(x)) must be at least d_H(x).  With slack
+    somewhere, an elimination order certifies H, and the sequence is peeled:
+    the vertices of H are inserted along the order, each by a vertex lift.
+    Otherwise H must not be a Gallai tree and a brute-force
+    degree-swappability verdict at cap 4 must not find a counterexample; then
+    per input step, the current g-H coloring is extended to one of g that is
+    versatile for the step's swap, and the current coloring is bridged to that
     extension by Kempe swaps confined to H (found under the reduced list
-    assignment that strips colors used just outside H), then replay the step.
-    If target is given, a final bridge inside H reaches it.
+    assignment that strips colors used just outside H).  If target is given,
+    a final bridge inside H reaches it.
 
-    With verify_hypotheses, the reduction hypotheses on H are checked first:
-    the reduced sizes f'(x) = |L(x)| - (d_G(x) - d_H(x)) must be at least
-    d_H(x); with slack somewhere, an elimination order certifies H; otherwise
-    H must not be a Gallai tree and a brute-force degree-swappability verdict
-    at the given cap must not find a counterexample.
+    Both branches lift through _lift, which checks every step once: the input
+    move is L-valid on g-H (else a PreconditionError names the step), every
+    lifted move replays on g from the checked start, and the lifted coloring
+    restricts to the input trajectory.
     """
     _require_budget(max_colorings)
     h = frozenset(h_vertices)
@@ -803,35 +808,25 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
     for i, x in enumerate(vmap_h):
         if fp[x] < sub_h.degree(i):
             raise PreconditionError(f"f'({x}) = {fp[x]} < d_H({x}) = {sub_h.degree(i)}")
-    sizes = tuple(fp[x] for x in vmap_h)
     has_slack = any(fp[x] > sub_h.degree(i) for i, x in enumerate(vmap_h))
-    order = slack_order(sub_h, sizes) if has_slack else None
-    if has_slack and order is None:
-        raise KempeError("internal: no elimination order despite slack in a connected H")
-    if verify_hypotheses and not has_slack:
+    if has_slack:
+        order = slack_order(sub_h, tuple(fp[x] for x in vmap_h))
+        if order is None:
+            raise KempeError("internal: no elimination order despite slack in a connected H")
+    else:
         if is_gallai_tree(sub_h).is_gallai_tree:
             raise PreconditionError("H is a Gallai tree, hence not f'-choosable")
-        verdict = _hypothesis_verdict(sub_h.n, sub_h.adj, cap, max_colorings)
+        verdict = _hypothesis_verdict(sub_h.n, sub_h.adj, max_colorings)
         if verdict.verdict == "counterexample":
             raise PreconditionError("H is not f'-swappable: counterexample assignment "
                                     f"{verdict.counterexample}")
     chk = check_coloring(g, lists, start)
     if not chk:
         raise PreconditionError(f"start is not an L-coloring: {chk}")
-
-    expected = _replay_partial(g, lists, _restrict(start, h), moves, h)
     if has_slack:
-        # Peel H along the elimination order: inserting the vertices in order
-        # keeps every insertion's live degree below its list size, so each
-        # stage is a single-vertex lift.
-        current = list(moves)
-        absent = h
-        for i in [vmap_h[i] for i in order]:
-            absent = absent - {i}
-            current, _ = _lift_vertex_core(g, lists, i, _restrict(start, absent),
-                                           current, absent)
-        psi = _replay(g, lists, start, current, "slack lift produced invalid move {mv}")
-        out = current
+        # Inserting the vertices in order keeps every insertion's live degree
+        # below its list size, so each stage is a single-vertex lift.
+        out, psi = _peel(g, lists, [vmap_h[i] for i in order], start, moves)
     else:
         def extend(psi, mv):
             extension = find_versatile_extension(g, h, lists, _restrict(psi, h),
@@ -839,36 +834,28 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
             return _bridge_inside(g, h, sub_h, vmap_h, lists, psi, extension, max_colorings)
 
         out, psi = _lift(g, lists, start, moves, frozenset(), h, extend)
-    if _restrict(psi, h) != expected:
-        raise KempeError("internal: lifted sequence does not realize the input trajectory")
     if target is not None:
         tchk = check_coloring(g, lists, target)
         if not tchk:
             raise ParameterError(f"target is not an L-coloring: {tchk}")
         if _restrict(target, h) != _restrict(psi, h):
             raise ParameterError("target disagrees with the lifted sequence outside H")
-        bridge, psi = _bridge_inside(g, h, sub_h, vmap_h, lists, psi, target, max_colorings)
-        out.extend(bridge)
+        bridge = _bridge_inside(g, h, sub_h, vmap_h, lists, psi, target, max_colorings)
+        psi = _play(g, lists, psi, bridge, frozenset(), out, "the target bridge")
+        if psi != target:
+            raise KempeError("internal: bridge did not reach the goal coloring")
     return LiftResult(tuple(out), psi)
 
 
-def _replay_partial(g: Graph, lists, partial, moves, absent: frozenset[int]):
-    """Final coloring of g-absent after the input moves (validating each)."""
-    phi = partial
-    for step, mv in enumerate(moves):
-        outcome = classify_swap_partial(g, lists, phi, mv, absent)
-        if not outcome.valid:
-            raise PreconditionError(f"input move {step} ({mv}) is not L-valid on the "
-                                    f"reduced graph: {outcome.reason}")
-        phi = outcome.coloring
-    return phi
-
-
 def _bridge_inside(g: Graph, h: frozenset[int], sub_h: Graph, vmap_h, lists, psi, phi_goal,
-                   max_colorings):
-    """Kempe swaps confined to H, induced as sub_h, taking psi to phi_goal (equal outside H)."""
+                   max_colorings) -> list[SwapMove]:
+    """Kempe swaps taking psi to phi_goal (equal outside H), found on sub_h, the graph H induces.
+
+    They are searched under the reduced lists, which strip the colors used
+    just outside H, so each one's component in g is its component in H.
+    """
     if psi == phi_goal:
-        return [], psi
+        return []
     reduced = tuple(
         frozenset(lists[x]) - {psi[y] for y in g.adj[x] if y not in h}
         for x in vmap_h)
@@ -881,17 +868,4 @@ def _bridge_inside(g: Graph, h: frozenset[int], sub_h: Graph, vmap_h, lists, psi
     if path is None:
         raise KempeError("H restrictions are not equivalent under the reduced assignment; "
                          "the f'-swappability hypothesis fails on this instance")
-    seq = []
-    cur = psi
-    for mv in path:
-        move = SwapMove(vmap_h[mv.anchor], mv.colors)
-        outcome = _classify(g, lists, cur, move)
-        if not outcome.valid:
-            raise KempeError(f"internal: bridge move {move} invalid on g: {outcome.reason}")
-        if not outcome.component <= h:
-            raise KempeError(f"internal: bridge move {move} escaped H")
-        cur = outcome.coloring
-        seq.append(SwapMove(min(outcome.component), mv.colors))
-    if cur != phi_goal:
-        raise KempeError("internal: bridge did not reach the goal coloring")
-    return seq, cur
+    return [SwapMove(vmap_h[mv.anchor], mv.colors) for mv in path]

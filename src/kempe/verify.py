@@ -147,6 +147,8 @@ def _set_to_mask(colors) -> int:
 
 
 def _assignment_masks(lists, cap: int) -> tuple[int, ...]:
+    if any(c < 1 for s in lists for c in s):
+        raise ParameterError("assignment uses colors below 1")
     masks = tuple(_set_to_mask(s) for s in lists)
     if any(m >> cap for m in masks):
         raise ParameterError(f"assignment uses colors above the cap {cap}")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lift_corpus import LIFTS
 from plane_corpus import cube, icosahedron, wheel
 
 from kempe import io as kio
@@ -426,6 +427,20 @@ class TestMixGolden:
         (tmp_path / "g.el").write_text(kio.write_edge_list(g))
         (tmp_path / "g.lists").write_text(kio.write_lists(make_lists([range(1, colors + 1)] * g.n)))
         assert main(["mix", *extra, "--graph", "g.el", "--lists", "g.lists"]) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+class TestLiftGolden:
+    # Full `kempe lift` stdout: a vertex lift that parks and then recolors to
+    # a target color, a slack subgraph lift (a peel along an elimination
+    # order), and a tight one that bridges inside H and then to a target.
+    @pytest.mark.parametrize("name", sorted(LIFTS))
+    def test_stdout_is_pinned(self, name, tmp_path, monkeypatch, capsys):
+        files, argv = LIFTS[name]
+        monkeypatch.chdir(tmp_path)
+        for file, text in files.items():
+            (tmp_path / file).write_text(text)
+        assert main(argv) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 

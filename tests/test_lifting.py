@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lift_corpus import chorded_cycle_host
+
 from kempe.coloring import (
     SwapMove,
     apply_moves,
@@ -277,21 +279,8 @@ class TestVersatileExtensionOracle:
 
 class TestLiftThroughSubgraph:
     def host_with_chorded_cycle(self, tight=True):
-        # H = C6 with an antipodal chord (theta(1,3,3) shape) on 2..7,
-        # attached to a path 0-1 at vertices 2 and 5.
-        edges = [(0, 1), (1, 2), (0, 5)]
-        cycle = [2, 3, 4, 5, 6, 7]
-        edges += [(cycle[i], cycle[(i + 1) % 6]) for i in range(6)]
-        edges += [(2, 5)]  # chord between antipodal cycle vertices
-        g = from_edges(8, edges)
-        h = set(range(2, 8))
-        lists = [None] * 8
-        lists[0] = {1, 2, 3}
-        lists[1] = {1, 2, 3}
-        for x in h:
-            size = g.degree(x) if tight else g.degree(x) + 1
-            lists[x] = set(range(1, size + 1))
-        return g, h, make_lists(lists)
+        g, lists = chorded_cycle_host(tight)
+        return g, set(range(2, 8)), lists
 
     def test_single_vertex_h_consistent_with_vertex_lift(self):
         g = fam("path(3)")
@@ -324,8 +313,7 @@ class TestLiftThroughSubgraph:
         moves, expected = random_walk_moves(g, lists, start, frozenset(h), 2, rng)
         target = next(phi for phi in colorings
                       if restricted(phi, frozenset(h)) == expected)
-        result = lift_through_subgraph(g, h, lists, start, moves, target=target,
-                                       verify_hypotheses=False)
+        result = lift_through_subgraph(g, h, lists, start, moves, target=target)
         assert result.final == target
         assert apply_moves(g, lists, start, result.moves) == target
 
@@ -335,8 +323,7 @@ class TestLiftThroughSubgraph:
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (3, 4)][:-1])
         lists = make_lists([{1, 2}, {1, 2, 3}, {1, 2, 3}, {1, 2}, {1, 2}])
         with pytest.raises(PreconditionError, match="Gallai"):
-            lift_through_subgraph(g, [2, 3, 4], lists, (1, 2, 1, 2, 3)[:g.n],
-                                  [], verify_hypotheses=True)
+            lift_through_subgraph(g, [2, 3, 4], lists, (1, 2, 1, 2, 3)[:g.n], [])
 
     def test_hypothesis_verdict_computed_once_per_h(self, monkeypatch):
         import kempe.verify
@@ -387,6 +374,16 @@ class TestLiftThroughSubgraph:
             assert restricted(result.final, frozenset(h)) == expected
             sizes.append(len(result.moves))
         assert sizes[0] == 6 < sizes[1]
+
+    @pytest.mark.parametrize("tight", [True, False], ids=["tight", "slack"])
+    def test_invalid_input_move_names_step(self, tight):
+        # Move 0 is valid on g-H; move 1 would give vertex 0 the color 4,
+        # which its list lacks.  Each branch checks the input step by step.
+        g, h, lists = self.host_with_chorded_cycle(tight)
+        start = (1, 2, 1, 2, 1, 2, 1, 2)
+        moves = [SwapMove(1, (1, 2)), SwapMove(0, (2, 4))]
+        with pytest.raises(PreconditionError, match=r"input move 1 \(2,4-swap at 0\) is not L-valid"):
+            lift_through_subgraph(g, h, lists, start, moves)
 
     def test_fprime_below_subgraph_degree_rejected(self):
         g, h, lists = self.host_with_chorded_cycle()

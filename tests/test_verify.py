@@ -107,6 +107,16 @@ class TestCanonicalStream:
         with pytest.raises(ParameterError):
             list(enumerate_degree_assignments(AssignmentStream((3, 1), 2)))
 
+    @pytest.mark.parametrize("canon", [canonicalize_assignment, canonicalize_assignment_reference])
+    @pytest.mark.parametrize("lists, match", [
+        ([frozenset({0, 1})], "below 1"),
+        ([frozenset({1, 2}), frozenset({-1, 3})], "below 1"),
+        ([frozenset({1, 4})], "above the cap 3"),
+    ])
+    def test_colors_outside_one_to_cap_are_parameter_errors(self, canon, lists, match):
+        with pytest.raises(ParameterError, match=match):
+            canon(lists, 3)
+
     def test_oversized_cap_and_short_sizes_rejected_before_any_table(self):
         cap = MAX_CAP + 1
         for lists in ([{1}], []):
