@@ -6,16 +6,17 @@ a later interpreter differs from what the first interpreter printed:
 
     python3 scripts/smoke_pythons.py /usr/bin/python3.10 /usr/bin/python3.13
 
-The corpus: `discharge` with both variants and `audit` with both variants on
-three plane graphs from tests/plane_corpus.py, `mix` on K3xK2 with lists
-{1,2,3} and on K4xK2 with lists {1..5}, which flood color-renaming orbits,
-`verify short-theta --cap 4`, `verify k4k2 --cap 6 --sample 20
---workers 2`, two exhaustive two-worker runs that a budget cuts (exit
-code 2): `verify short-theta` on theta(1,3,5) at `--max-assignments 200`,
-and `verify prism` on prism(1,1,3) at cap 5 and `--max-assignments 2000`,
-which pins the cap-5 stream, and the three `lift` cases of
-tests/lift_corpus.py: a vertex lift that parks, a slack subgraph lift and a
-tight one with `--target`.
+The corpus: `discharge` with both variants, `audit` with both variants and
+`extract` of G3 and of G2 on three plane graphs from tests/plane_corpus.py,
+`mix` on K3xK2 with lists {1,2,3} and on K4xK2 with lists {1..5}, which
+flood color-renaming orbits, `verify short-theta --cap 4`, `verify
+big-intersection --cap 4`, which runs the Gallai-tree test on every K4 - e,
+`verify k4k2 --cap 6 --sample 20 --workers 2`, two exhaustive two-worker
+runs that a budget cuts (exit code 2): `verify short-theta` on theta(1,3,5)
+at `--max-assignments 200`, and `verify prism` on prism(1,1,3) at cap 5 and
+`--max-assignments 2000`, which pins the cap-5 stream, and the three `lift`
+cases of tests/lift_corpus.py: a vertex lift that parks, a slack subgraph
+lift and a tight one with `--target`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ def corpus() -> list[list[str]]:
     commands = [[command, "--plane", name, "--variant", variant]
                 for name in PLANES for command in ("discharge", "audit")
                 for variant in ("lemma1", "lemma2")]
+    commands += [["extract", "--plane", name, "--kind", kind] for name in PLANES
+                 for kind in ("G3", "G2")]
     commands += [["mix", "--graph", graph, "--lists", lists] for graph, lists in SPACES]
     commands += [argv for _, argv in LIFTS.values()]
     return commands + [["verify", "short-theta", "--cap", "4"],
+                       ["verify", "big-intersection", "--cap", "4"],
                        ["verify", "k4k2", "--cap", "6", "--sample", "20", "--workers", "2"],
                        ["verify", "short-theta", "--instance", "theta(1,3,5)", "--cap", "4",
                         "--max-assignments", "200", "--workers", "2"],

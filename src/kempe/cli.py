@@ -348,6 +348,11 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The coloring searches recurse once per vertex: the stack is a budget too.
+        print(f"budget exceeded: search deeper than Python's recursion limit of "
+              f"{sys.getrecursionlimit()}", file=sys.stderr)
+        return 2
     except (ParameterError, PreconditionError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

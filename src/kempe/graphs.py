@@ -97,8 +97,9 @@ def _components(adjm, s: int) -> tuple[int, ...]:
     """Component masks of the subgraph induced by the vertex mask s, by lowest vertex.
 
     adjm holds each vertex's neighborhood mask (Graph.masks).  This is the one
-    component search: graph components, Kempe components and the flood's
-    component memo all come from it.
+    component search: graph components, Kempe components, the flood's
+    component memo, and the blocks and cut vertices of block_decomposition
+    all come from it.
     """
     comps = []
     while s:
@@ -134,26 +135,6 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
-
-
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A 2-coloring of the vertices, or None if some component is not bipartite."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if side[w] < 0:
-                    side[w] = 1 - side[v]
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return None
-    return (frozenset(v for v in range(g.n) if side[v] == 0),
-            frozenset(v for v in range(g.n) if side[v] == 1))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
@@ -466,66 +447,42 @@ class GallaiReport:
 
 
 def block_decomposition(g: Graph) -> tuple[tuple[Block, ...], tuple[int, ...]]:
-    """Blocks and cut vertices via an iterative lowpoint DFS.
+    """Blocks (by vertex tuple) and cut vertices (ascending), from the component search.
 
-    Each frame remembers the edge-stack size at the moment its tree edge was
-    pushed; when a child finishes with low[child] >= disc[parent], the edges
-    above that mark are exactly one block.
+    Two edges wa and wb lie in one block iff a cycle passes through both,
+    that is iff a and b lie in one component of g - w.  The edges of a block
+    are linked through shared vertices, so merging every such pair in a
+    union-find leaves one class per block, and w is a cut vertex iff its
+    edges fall into two or more classes.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    cut = [False] * g.n
-    stack_edges: list[tuple[int, int]] = []
-    blocks: list[Block] = []
-    timer = 0
+    root = {e: e for e in g.edges()}
 
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        # Frame: [vertex, parent, next adjacency index, edge-stack mark].
-        frames = [[root, -1, 0, 0]]
-        while frames:
-            frame = frames[-1]
-            v, parent, i, mark = frame
-            if i < len(g.adj[v]):
-                frame[2] += 1
-                w = g.adj[v][i]
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    m = len(stack_edges)
-                    stack_edges.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    frames.append([w, v, 0, m])
-                elif disc[w] < disc[v]:
-                    stack_edges.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                frames.pop()
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        if parent != root:
-                            cut[parent] = True
-                        blocks.append(_make_block(stack_edges[mark:]))
-                        del stack_edges[mark:]
-        if root_children >= 2:
-            cut[root] = True
+    def find(e):
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
 
+    everyone = (1 << g.n) - 1
+    cuts = []
+    for w, near in enumerate(g.masks):
+        classes = 0
+        for comp in _components(g.masks, everyone ^ 1 << w):
+            ends = [(min(w, a), max(w, a)) for a in _bits(near & comp)]
+            if ends:
+                classes += 1
+                first = find(ends[0])
+                for e in ends[1:]:
+                    root[find(e)] = first
+        if classes >= 2:
+            cuts.append(w)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e in root:
+        groups.setdefault(find(e), []).append(e)
+    blocks = [Block(tuple(sorted({v for e in es for v in e})), tuple(es))
+              for es in groups.values()]
     blocks.sort(key=lambda b: b.vertices)
-    return tuple(blocks), tuple(v for v in range(g.n) if cut[v])
-
-
-def _make_block(edges) -> Block:
-    verts = tuple(sorted({v for e in edges for v in e}))
-    norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-    return Block(verts, norm)
+    return tuple(blocks), tuple(cuts)
 
 
 def is_gallai_tree(g: Graph) -> GallaiReport:

@@ -20,7 +20,6 @@ from functools import cached_property
 from .errors import BudgetError, KempeError, ParameterError, PreconditionError
 from .graphs import (
     Graph,
-    bipartition,
     connected_components,
     edge_subgraph,
 )
@@ -222,15 +221,9 @@ def _extract_special_subgraph(pg: PlaneGraph, kind: str) -> SpecialSubgraph:
         return SpecialSubgraph(kind, Graph(0, ()), (), tuple(sorted(qualifying)), None, None)
     sub, vmap = edge_subgraph(g, edges)
     pair = next(((u, v) for u, v in edges if u in qualifying and v in qualifying), None)
-    parts = None
-    if pair is None:
-        # Every edge then joins a qualifying vertex to a non-qualifying one.
-        parts = (frozenset(v for v in vmap if v in qualifying),
-                 frozenset(v for v in vmap if v not in qualifying))
-        split = bipartition(sub)
-        if split is None:
-            raise KempeError("internal: subgraph with no adjacent qualifying pair "
-                             "must be bipartite")
+    # Every edge has a qualifying end and, with no pair, only one: a proper 2-coloring.
+    parts = None if pair else (frozenset(v for v in vmap if v in qualifying),
+                               frozenset(v for v in vmap if v not in qualifying))
     return SpecialSubgraph(kind, sub, vmap, tuple(sorted(qualifying)), pair, parts)
 
 
@@ -427,10 +420,10 @@ class ConfigWitness:
         else:
             raise KempeError(f"unknown witness kind {self.kind!r}")
 
-    def describe(self, labeler=str) -> str:
+    def describe(self) -> str:
         if self.kind == "C1-edge":
             u, v = self.edge
-            return (f"C1-edge ({labeler(u)},{labeler(v)}) degree sum {self.degree_sum} "
+            return (f"C1-edge ({u},{v}) degree sum {self.degree_sum} "
                     f"<= {self.threshold}")
         if self.kind == "C2-barbell":
             join = "shared vertex" if len(self.path) == 1 else "path"

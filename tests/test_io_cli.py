@@ -240,6 +240,22 @@ class TestCli:
         assert main(argv + ["81"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "0 frozen colorings"
 
+    @pytest.mark.parametrize("command", ["colorings", "mix", "frozen"])
+    def test_search_deeper_than_the_recursion_limit_is_a_budget_error(self, command,
+                                                                      tmp_path, capsys):
+        # path(1500) with lists {1} and {2} alternating has one coloring, so the
+        # product bound passes, but the searches recurse once per vertex.
+        n = 1500
+        graph_file = tmp_path / "p.el"
+        lists_file = tmp_path / "p.lists"
+        graph_file.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        lists_file.write_text("".join(f"{i}: {1 + i % 2}\n" for i in range(n)))
+        code = main([command, "--graph", str(graph_file), "--lists", str(lists_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command",
                              ["colorings", "mix", "frozen", "path", "lift", "lift-vertex"])
     def test_negative_max_colorings_is_input_error(self, command, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Graph constructions, components, isomorphism, automorphisms and face tracing against networkx as an oracle.
+"""Graph constructions, components, blocks, isomorphism, automorphisms and face tracing against networkx as an oracle.
 
 networkx is a test dependency only; kempe never imports it.
 """
@@ -6,6 +6,7 @@ networkx is a test dependency only; kempe never imports it.
 from __future__ import annotations
 
 import itertools
+import random
 
 import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 from kempe.coloring import _pair_components, kempe_component, partial_component
 from kempe.graphs import (
     automorphisms,
+    block_decomposition,
     cartesian_product,
     connected_components,
     from_edges,
     is_connected,
+    is_gallai_tree,
     is_isomorphic,
     line_graph,
 )
@@ -160,3 +163,38 @@ def test_component_searches_are_networkx_components(g, data):
                 next((set(c) for c in whole if v in c), set())
             assert partial_component(g, phi, v, pair[::-1], absent) == \
                 next((set(c) for c in part if v in c), set())
+
+
+def test_blocks_are_networkx_biconnected_components():
+    # 1,200 seeded graphs on 1-12 vertices at every edge density, so that
+    # disconnected graphs and isolated vertices come up often.
+    rng = random.Random(2323)
+    disconnected = isolated = trees = 0
+    for _ in range(1200):
+        n, density = rng.randrange(1, 13), rng.random()
+        g = from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                           if rng.random() < density])
+        h = to_nx(g)
+        blocks, cuts = block_decomposition(g)
+        expected = [sorted(tuple(sorted(e)) for e in comp)
+                    for comp in nx.biconnected_component_edges(h)]
+        assert sorted(list(b.edges) for b in blocks) == sorted(expected)
+        for b in blocks:
+            assert b.vertices == tuple(sorted({v for e in b.edges for v in e}))
+        assert [b.vertices for b in blocks] == sorted(b.vertices for b in blocks)
+        assert cuts == tuple(sorted(nx.articulation_points(h)))
+        isolated += min(g.degrees()) == 0
+        if not is_connected(g):
+            disconnected += 1
+            continue
+        gallai = True
+        for comp in expected:
+            sub = h.edge_subgraph(comp)
+            k = sub.number_of_nodes()
+            complete = sub.number_of_edges() == k * (k - 1) // 2
+            odd_cycle = k % 2 == 1 and all(d == 2 for _, d in sub.degree())
+            gallai &= complete or odd_cycle
+        assert is_gallai_tree(g).is_gallai_tree == gallai
+        trees += gallai
+    assert disconnected > 300 and isolated > 200
+    assert trees > 200 and 1200 - disconnected - trees > 200  # both verdicts

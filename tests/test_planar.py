@@ -299,6 +299,32 @@ class TestExtractSpecialSubgraph:
         assert sub.parts is not None
         assert frozenset({2, 3}) in sub.parts
 
+    def test_parts_is_a_proper_two_coloring_without_an_adjacent_pair(self):
+        planes = platonic_solids() + [wheel(k) for k in range(3, 9)]
+        planes += [prism(k) for k in range(3, 8)]
+        planes += [random_triangulation(8 + seed, seed) for seed in range(8)]
+        planes += [random_plane_min2(10 + seed, seed) for seed in range(12)]
+        split = paired = 0
+        for pg in planes:
+            for kind in ("G3", "G2"):
+                sub = extract_special_subgraph(pg, kind)
+                qualifying = set(sub.qualifying)
+                if sub.adjacent_qualifying_pair is not None:
+                    u, v = sub.adjacent_qualifying_pair
+                    assert sub.parts is None
+                    assert pg.graph.has_edge(u, v) and {u, v} <= qualifying
+                    paired += 1
+                elif sub.parts is not None:
+                    first, second = sub.parts
+                    assert first | second == set(sub.vertices) and not first & second
+                    assert first == qualifying & set(sub.vertices)
+                    for u, v in sub.host_edges():
+                        assert (u in first) != (v in first)
+                    split += 1
+                else:
+                    assert sub.graph.n == 0
+        assert split > 10 and paired > 10
+
     def test_bipartition_recorded_when_no_adjacent_pair(self):
         sub = extract_special_subgraph(cube(), "G3")
         # all cube vertices are 3-vertices, adjacent pairs exist

@@ -309,7 +309,7 @@ def _bfs_reference(space, start: int, goal=None, stop_at: int = 0) -> dict:
 class TestFloodOracle:
     def test_flood_agrees_with_a_search_over_neighbors(self):
         rng = random.Random(1517)
-        goals_met, cut = 0, 0
+        goals_met = cut = symmetric = 0
         for _ in range(150):
             g, lists = _random_lists_case(rng)
             space = ReconfigSpace(g, lists)
@@ -318,28 +318,27 @@ class TestFloodOracle:
                 continue
             start, goal = rng.choice(keys), rng.choice(keys)
             whole = _bfs_reference(space, start)
-            # No goal: depth-first, the same class.
-            seen = {start: None}
-            space.flood(start, seen)
-            assert seen.keys() == whole.keys()
-            # A goal: breadth-first, the same links in the same order.
+            orbits = {space.canon(k) for k in whole}
+            # No goal: depth-first over orbits, the canonical keys of the class.
+            seen = {space.canon(start): None}
+            space.flood(space.canon(start), seen)
+            assert seen.keys() == orbits
+            # A goal: breadth-first over colorings, the same links in the same order.
             seen = {start: None}
             space.flood(start, seen, goal)
             assert list(seen.items()) == list(_bfs_reference(space, start, goal).items())
             goals_met += goal in whole and goal != start
-            # stop_at: the search stops once seen holds that many colorings.
+            # stop_at: the search stops once seen holds that many keys.
             stop_at = rng.randrange(2, len(whole) + 2)  # seen starts with one
-            for target in (None, goal):
-                seen = {start: None}
-                space.flood(start, seen, target, stop_at)
-                assert seen.keys() <= whole.keys()
-                if target is None:
-                    assert len(seen) == min(stop_at, len(whole))
-                else:
-                    assert list(seen.items()) == list(
-                        _bfs_reference(space, start, goal, stop_at).items())
+            seen = {space.canon(start): None}
+            space.flood(space.canon(start), seen, None, stop_at)
+            assert seen.keys() <= orbits and len(seen) == min(stop_at, len(orbits))
+            seen = {start: None}
+            space.flood(start, seen, goal, stop_at)
+            assert list(seen.items()) == list(_bfs_reference(space, start, goal, stop_at).items())
             cut += stop_at < len(whole)
-        assert goals_met > 20 and cut > 20
+            symmetric += len(orbits) < len(whole)
+        assert goals_met > 20 and cut > 20 and symmetric > 20
 
 
 def _types_reference(lists) -> list[list[int]]:
@@ -418,7 +417,7 @@ class TestColorOrbits:
             for c in range(len(sizes)):
                 start = canon[ids.index(c)]
                 seen = {start: None}
-                space.flood(start, seen, orbits=True)
+                space.flood(start, seen)
                 assert seen.keys() == {k for k, i in zip(canon, ids) if i == c}
             # Shortest paths stay on colorings.
             for _ in range(3 if keys else 0):
