@@ -8,6 +8,8 @@ a later interpreter differs from what the first interpreter printed:
 
 The corpus: `discharge` with both variants, `audit` with both variants and
 `extract` of G3 and of G2 on three plane graphs from tests/plane_corpus.py,
+`audit --variant lemma1` on the prism C700xK2, whose G3 has paths deeper than
+Python's recursion limit,
 `mix` on K3xK2 with lists {1,2,3} and on K4xK2 with lists {1..5}, which
 flood color-renaming orbits, `verify short-theta --cap 4`, `verify
 big-intersection --cap 4`, which runs the Gallai-tree test on every K4 - e,
@@ -32,13 +34,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from lift_corpus import LIFTS  # noqa: E402
-from plane_corpus import cube, random_plane_min2, wheel  # noqa: E402
+from plane_corpus import cube, prism, random_plane_min2, wheel  # noqa: E402
 
 from kempe.coloring import make_lists  # noqa: E402
 from kempe.graphs import cartesian_product, generate, parse_family  # noqa: E402
 from kempe.io import write_edge_list, write_lists, write_rotation_system  # noqa: E402
 
 PLANES = {"cube.rot": cube(), "wheel9.rot": wheel(9), "min2_20_8.rot": random_plane_min2(20, 8)}
+DEEP = {"prism700.rot": prism(700)}
 # (graph file, lists file) -> (first and second factor of the product, list size)
 SPACES = {("k3k2.el", "k3k2_3.lists"): ("clique(3)", "clique(2)", 3),
           ("k4k2.el", "k4k2_5.lists"): ("clique(4)", "clique(2)", 5)}
@@ -50,6 +53,7 @@ def corpus() -> list[list[str]]:
                 for variant in ("lemma1", "lemma2")]
     commands += [["extract", "--plane", name, "--kind", kind] for name in PLANES
                  for kind in ("G3", "G2")]
+    commands += [["audit", "--plane", name, "--variant", "lemma1"] for name in DEEP]
     commands += [["mix", "--graph", graph, "--lists", lists] for graph, lists in SPACES]
     commands += [argv for _, argv in LIFTS.values()]
     return commands + [["verify", "short-theta", "--cap", "4"],
@@ -77,7 +81,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     commands = corpus()
     with tempfile.TemporaryDirectory() as workdir:
-        for name, pg in PLANES.items():
+        for name, pg in {**PLANES, **DEEP}.items():
             Path(workdir, name).write_text(write_rotation_system(pg))
         for (graph, lists), (first, second, colors) in SPACES.items():
             g = cartesian_product(generate(parse_family(first)), generate(parse_family(second)))

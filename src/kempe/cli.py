@@ -349,7 +349,8 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The coloring searches recurse once per vertex: the stack is a budget too.
+        # The coloring searches check their depth first; _isomorphisms and the
+        # assignment stream still recurse once per vertex: the stack is a budget.
         print(f"budget exceeded: search deeper than Python's recursion limit of "
               f"{sys.getrecursionlimit()}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ missing vertices; all public operations here require total colorings.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError, ParameterError, PreconditionError
@@ -161,12 +162,17 @@ def _require_budget(max_colorings: int) -> None:
 
 
 def _require_bound(g: Graph, lists: ListAssignment, max_colorings: int) -> None:
-    """Fail before any work when the product of list sizes exceeds the budget."""
+    """Fail before any work when the product of list sizes exceeds the budget,
+    or when the search, which recurses once per vertex, would go deeper than
+    Python's recursion limit allows (100 frames are left to the caller)."""
     _require_lists(g, lists)
     _require_budget(max_colorings)
     bound = math.prod(len(s) for s in lists) if g.n else 1
     if bound > max_colorings:
         raise BudgetError(f"coloring space bound {bound} exceeds budget {max_colorings}", bound)
+    depth = sys.getrecursionlimit() - 100
+    if g.n > depth:
+        raise BudgetError(f"coloring search depth {g.n} exceeds the recursion budget {depth}", g.n)
 
 
 def count_L_colorings_reference(g: Graph, lists: ListAssignment, order=None) -> int:

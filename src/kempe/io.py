@@ -173,8 +173,8 @@ def parse_moves(text: str) -> list[SwapMove]:
 # DOT export
 # ---------------------------------------------------------------------------
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         label = g.label(v)
         lines.append(f'  {v} [label="{label}"];')
@@ -184,8 +184,8 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def reconfig_to_dot(rg: ReconfigGraph, name: str = "R") -> str:
-    lines = [f"graph {name} {{"]
+def reconfig_to_dot(rg: ReconfigGraph) -> str:
+    lines = ["graph R {"]
     for i, phi in enumerate(rg.colorings):
         label = ",".join(str(c) for c in phi)
         lines.append(f'  {i} [label="{label}"];')

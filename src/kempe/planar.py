@@ -247,10 +247,44 @@ class _SearchBudget:
                               self.limit)
 
 
-def all_cycles(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> list[tuple[int, ...]]:
+def all_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Every simple cycle, as a canonical tuple: least vertex first, lesser
     neighbor second, so each cycle appears exactly once."""
-    return _cycles_up_to(g, None, _SearchBudget(budget))[0]
+    return _cycles_up_to(g, None, _SearchBudget(DEFAULT_SEARCH_BUDGET))[0]
+
+
+def _walk(g: Graph, start: int, end: int, low: int, max_len: int | None,
+          counter: _SearchBudget, what: str):
+    """Yield every simple path from start, through vertices above low, that
+    reaches a neighbor of end, as a tuple without end; and None each time
+    max_len (no bound when None) cuts off a path that could go on.
+
+    Reaching end stops a path.  The search is depth-first with neighbors in
+    ascending order and keeps its own stack of neighbor iterators, so its depth
+    is not bounded by Python's recursion limit.  Each path reached, start alone
+    included, spends one step from counter.
+    """
+    adj = g.adj
+    path, on_path = [start], [False] * g.n
+    on_path[start] = True
+    counter.spend(what)
+    stack = [iter(adj[start])]
+    while stack:
+        for w in stack[-1]:
+            if w == end:
+                yield tuple(path)
+            elif w > low and not on_path[w]:
+                if len(path) == max_len:
+                    yield None
+                    continue
+                counter.spend(what)
+                path.append(w)
+                on_path[w] = True
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
 
 
 def _cycles_up_to(g: Graph, max_len: int | None,
@@ -263,54 +297,22 @@ def _cycles_up_to(g: Graph, max_len: int | None,
     it visits a subset of its nodes; when nothing was cut off it visited them
     all and found every cycle.
     """
-    cycles = []
-    cut = False
-
-    def extend(start: int, path: list[int], on_path: set[int]):
-        nonlocal cut
-        counter.spend("cycle search")
-        v = path[-1]
-        for w in g.adj[v]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
-                cycles.append(tuple(path))
-            elif w > start and w not in on_path:
-                if len(path) == max_len:
-                    cut = True
-                    continue
-                path.append(w)
-                on_path.add(w)
-                extend(start, path, on_path)
-                on_path.discard(w)
-                path.pop()
-
+    cycles, cut = [], False
     for s in range(g.n):
-        extend(s, [s], {s})
-    cycles.sort(key=lambda c: (len(c), c))
-    return cycles, cut
+        for c in _walk(g, s, s, s, max_len, counter, "cycle search"):
+            if c is None:
+                cut = True
+            elif len(c) >= 3 and c[1] < c[-1]:
+                cycles.append(c)
+    return sorted(cycles, key=lambda c: (len(c), c)), cut
 
 
 def all_paths_between(g: Graph, u: int, v: int,
                       counter: _SearchBudget) -> list[tuple[int, ...]]:
     """Every simple u,v-path as a vertex tuple from u to v, sorted by (length,
     tuple); each search step is spent from counter."""
-    paths = []
-
-    def extend(path: list[int], on_path: set[int]):
-        counter.spend("path search")
-        x = path[-1]
-        for w in g.adj[x]:
-            if w == v:
-                paths.append(tuple(path) + (v,))
-            elif w != u and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                extend(path, on_path)
-                on_path.discard(w)
-                path.pop()
-
-    extend([u], {u})
-    paths.sort(key=lambda p: (len(p), p))
-    return paths
+    paths = _walk(g, u, v, -1, None, counter, "path search")
+    return sorted((p + (v,) for p in paths), key=lambda p: (len(p), p))
 
 
 def _shortest_join(g: Graph, source: set[int], target: set[int]) -> tuple[int, ...] | None:
@@ -438,11 +440,9 @@ class ConfigWitness:
 
 
 def _validate_cycle(g: Graph, cyc) -> None:
-    if cyc is None or len(cyc) < 3 or len(set(cyc)) != len(cyc):
-        raise KempeError(f"not a simple cycle: {cyc}")
-    for i, x in enumerate(cyc):
-        if not g.has_edge(x, cyc[(i + 1) % len(cyc)]):
-            raise KempeError(f"cycle edge ({x},{cyc[(i + 1) % len(cyc)]}) missing")
+    if cyc is None or len(cyc) < 3 or not g.has_edge(cyc[-1], cyc[0]):
+        raise KempeError(f"not a closed cycle: {cyc}")
+    _validate_path(g, cyc)
 
 
 def _validate_path(g: Graph, path) -> None:
@@ -626,8 +626,7 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def structural_audit(pg: PlaneGraph, variant: str,
-                     budget: int = DEFAULT_SEARCH_BUDGET) -> AuditReport:
+def structural_audit(pg: PlaneGraph, variant: str) -> AuditReport:
     """Evaluate (C1), (C2), (C3) for one lemma variant and report all that hold.
 
     The structural lemmas promise at least one configuration on every simple
@@ -657,7 +656,7 @@ def structural_audit(pg: PlaneGraph, variant: str,
     def run(kind, graph, translate):
         """Record the kind's witness on graph, translated to the host, if there is one."""
         try:
-            found = detect_configuration(graph, kind, threshold=threshold, budget=budget)
+            found = detect_configuration(graph, kind, threshold=threshold)
         except BudgetError as exc:
             notes.append(f"{kind}: {exc}")
             return

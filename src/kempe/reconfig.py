@@ -748,12 +748,18 @@ def find_versatile_extension(g: Graph, h_vertices, lists: ListAssignment, partia
     swap = classify_swap_partial(g, lists, partial, SwapMove(w, (a, b)), h)
     if not swap.valid:
         raise PreconditionError(f"not versatile at {w}: {swap.reason}")
-    old_comps = _pair_components(g, partial, (a, b), h)
+    return _versatile_extension(g, h, lists, partial, SwapMove(w, (a, b)))
+
+
+def _versatile_extension(g: Graph, h: frozenset[int], lists: ListAssignment, partial,
+                         move: SwapMove) -> Coloring:
+    """The search of find_versatile_extension, for callers whose hypotheses already hold."""
+    old_comps = _pair_components(g, partial, move.colors, h)
 
     def contract_ok(cand: Coloring) -> bool:
-        if not _classify(g, lists, cand, SwapMove(w, (a, b))).valid:
+        if not _classify(g, lists, cand, move).valid:
             return False
-        for comp in _pair_components(g, cand, (a, b), frozenset()):
+        for comp in _pair_components(g, cand, move.colors, frozenset()):
             if sum(1 for p in old_comps if p <= comp) > 1:
                 return False
         return True
@@ -829,8 +835,9 @@ def lift_through_subgraph(g: Graph, h_vertices, lists: ListAssignment, start: Co
         out, psi = _peel(g, lists, [vmap_h[i] for i in order], start, moves)
     else:
         def extend(psi, mv):
-            extension = find_versatile_extension(g, h, lists, _restrict(psi, h),
-                                                 mv.anchor, mv.colors)
+            # H was checked above, _lift found mv L-valid on g-H, and psi is a
+            # replayed L-coloring, so every hypothesis of the extension holds.
+            extension = _versatile_extension(g, h, lists, _restrict(psi, h), mv)
             return _bridge_inside(g, h, sub_h, vmap_h, lists, psi, extension, max_colorings)
 
         out, psi = _lift(g, lists, start, moves, frozenset(), h, extend)

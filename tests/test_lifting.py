@@ -375,6 +375,26 @@ class TestLiftThroughSubgraph:
             sizes.append(len(result.moves))
         assert sizes[0] == 6 < sizes[1]
 
+    def test_tight_lift_checks_h_once(self, monkeypatch):
+        # H is checked before the steps; each step's extension only searches.
+        import kempe.reconfig
+
+        g, h, lists = self.host_with_chorded_cycle()
+        start = enumerate_L_colorings(g, lists, 500_000)[0]
+        moves, expected = random_walk_moves(g, lists, start, frozenset(h), 6, random.Random(3))
+        assert len(moves) == 6
+        calls = []
+        original = kempe.reconfig.is_gallai_tree
+
+        def counting(sub):
+            calls.append(sub)
+            return original(sub)
+
+        monkeypatch.setattr(kempe.reconfig, "is_gallai_tree", counting)
+        result = lift_through_subgraph(g, h, lists, start, moves)
+        assert len(calls) == 1
+        assert restricted(result.final, frozenset(h)) == expected
+
     @pytest.mark.parametrize("tight", [True, False], ids=["tight", "slack"])
     def test_invalid_input_move_names_step(self, tight):
         # Move 0 is valid on g-H; move 1 would give vertex 0 the color 4,

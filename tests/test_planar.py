@@ -24,7 +24,9 @@ from kempe.graphs import Graph, from_edges, generate, parse_family
 from kempe.planar import (
     DEFAULT_SEARCH_BUDGET,
     PlaneGraph,
+    _SearchBudget,
     all_cycles,
+    all_paths_between,
     delete_edge_planar,
     detect_configuration,
     extract_special_subgraph,
@@ -405,6 +407,37 @@ class TestDetect:
             assert len(all_cycles(g)) == len(brute_cycles(g))
             assert set(all_cycles(g)) == brute_cycles(g)
 
+    def test_paths_and_their_budget_match_brute_force(self):
+        # The path search spends one step per simple path it reaches: every
+        # path that starts at u and avoids v, u alone included.
+        import networkx as nx
+
+        rng = random.Random(24)
+        raised = 0
+        for _ in range(300):
+            n = rng.randrange(2, 10)
+            p = rng.random()
+            g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            u, v = rng.sample(range(n), 2)
+            reached, level = 0, [(u,)]
+            while level:
+                reached += len(level)
+                level = [q + (w,) for q in level for w in g.adj[q[-1]] if w != v and w not in q]
+            nxg = nx.Graph(list(g.edges()))
+            nxg.add_nodes_from(range(n))
+            expected = sorted((tuple(q) for q in nx.all_simple_paths(nxg, u, v)),
+                              key=lambda q: (len(q), q))
+            assert all_paths_between(g, u, v, _SearchBudget(reached)) == expected
+            for budget in (reached - 1, rng.randrange(reached + 1)):
+                try:
+                    all_paths_between(g, u, v, _SearchBudget(budget))
+                except BudgetError:
+                    assert budget < reached
+                    raised += 1
+                else:
+                    assert budget >= reached
+        assert raised > 300
+
 
 def barbell_corpus() -> list[Graph]:
     """The oracle-test families and 70 random graphs, G3 and G2 of 200 random
@@ -537,6 +570,16 @@ class TestStructuralAudit:
             barbells[0].validate(pg.graph)
             assert sorted(map(len, (barbells[0].cycle1, barbells[0].cycle2))) == [4, 4]
             assert not any(note.startswith("C2-barbell") for note in report.notes), k
+
+    def test_prism_deeper_than_the_recursion_limit_audits(self):
+        # G3 of C700 x K2 is the whole cubic graph, with paths of 1,400 vertices.
+        pg = prism(700)
+        report = structural_audit(pg, "lemma1")
+        assert report.notes == (
+            f"C3-theta: path search exceeded the search budget of {DEFAULT_SEARCH_BUDGET} steps",)
+        assert [w.kind for w in report.witnesses] == ["C1-edge", "C2-barbell"]
+        for w in report.witnesses:
+            w.validate(pg.graph)
 
     def test_empty_plane_graph_rejected(self):
         with pytest.raises(PreconditionError, match="nonempty"):

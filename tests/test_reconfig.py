@@ -34,7 +34,7 @@ from kempe.reconfig import (
     mixing_classes,
     subset_mixes,
 )
-from kempe.verify import slack_order
+from kempe.verify import frozen_colorings, slack_order
 
 
 def fam(text):
@@ -42,6 +42,29 @@ def fam(text):
 
 
 FROZEN_C4_LISTS = make_lists([{1, 2}, {2, 3}, {3, 4}, {4, 1}])
+
+
+class TestSearchDepth:
+    # Lists {1} and {2} alternate along a path: one coloring, so the product
+    # bound passes, but the coloring searches recurse once per vertex.
+    SEARCHES = {"enumerate": lambda g, lists: enumerate_L_colorings(g, lists),
+                "swappable": is_L_swappable, "frozen": frozen_colorings}
+
+    @staticmethod
+    def alternating_path(n):
+        return fam(f"path({n})"), make_lists([{1 + i % 2} for i in range(n)])
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_deeper_than_the_recursion_limit_is_a_budget_error(self, search):
+        with pytest.raises(BudgetError, match="depth"):
+            self.SEARCHES[search](*self.alternating_path(1500))
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_a_path_within_the_depth_budget_answers(self, search):
+        g, lists = self.alternating_path(880)
+        only = tuple(1 + i % 2 for i in range(880))
+        expected = {"enumerate": [only], "swappable": True, "frozen": [only]}[search]
+        assert self.SEARCHES[search](g, lists) == expected
 
 
 class TestMixingClasses:
